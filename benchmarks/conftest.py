@@ -4,19 +4,29 @@ The expensive Table 3 accuracy experiment is executed once per benchmark
 session (lazily, on first use) and shared between the accuracy benchmark,
 the headline-claims benchmark and the retraining ablation.  Its size is
 deliberately scaled down from the paper's full MNIST run so the whole
-benchmark suite completes on a laptop-class CPU; see DESIGN.md ("Known
-scale-downs") and EXPERIMENTS.md for the exact configuration and for how to
-scale it back up (environment variables REPRO_TRAIN_SIZE, REPRO_TEST_SIZE,
-REPRO_EVAL_IMAGES, REPRO_BITEXACT).
+benchmark suite completes on a laptop-class CPU: synthetic digits instead of
+MNIST, 1500 training and 400 test images by default, 4 baseline and 3
+retraining epochs, and the calibrated emulator for the stochastic rows
+(:func:`_benchmark_accuracy_config`).  The environment variables
+REPRO_TRAIN_SIZE, REPRO_TEST_SIZE, REPRO_EVAL_IMAGES and REPRO_BITEXACT scale
+it back up.
+
+The speed benchmarks measure the packed paths against the byte-per-bit
+reference implementations of ``tests/oracle.py``, so that directory is put
+on the import path here.
 """
 
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.eval import AccuracyConfig, run_table3_accuracy
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 
 def _benchmark_accuracy_config() -> AccuracyConfig:

@@ -1,13 +1,14 @@
 """Benchmark: packed netlist simulator and bipolar engine vs. their references.
 
-Times the paths the packed-word backend accelerates -- the
-activity-capturing netlist simulation behind the Table 3 power numbers, the
-Section IV-B bipolar dot-product engine, the LFSR/SNG netlists that used to
-force the per-cycle fallback (now resolved word-parallel through narrow
-feedback cores with periodic wrapping), and batched multi-trace simulation
--- asserts each meets its speedup floor, and writes a ``BENCH_netlist.json``
-artifact so the speedup trajectory can be tracked across commits, alongside
-``BENCH_packed.json``.
+Times the paths packed words accelerate -- the activity-capturing netlist
+simulation behind the Table 3 power numbers, the Section IV-B bipolar
+dot-product engine, the LFSR/SNG netlists that used to force the per-cycle
+fallback (now resolved word-parallel through narrow feedback cores with
+periodic wrapping), and batched multi-trace simulation -- against the
+byte-per-bit references in ``tests/oracle.py`` (the per-cycle cell loop, the
+byte-per-bit bipolar engine), asserts each meets its speedup floor, and
+writes a ``BENCH_netlist.json`` artifact under ``.bench_build/`` (untracked),
+alongside ``BENCH_packed.json``.
 
 Timings use best-of-``REPEATS`` wall-clock so a single scheduler hiccup on a
 loaded CI machine cannot fail the regression assertion.
@@ -18,12 +19,13 @@ import time
 from pathlib import Path
 
 import numpy as np
+import oracle
 
 from repro.netlist import build_sc_dot_product, build_sng, simulate, simulate_batch
 from repro.rng import MAXIMAL_TAPS
 from repro.sc import BipolarDotProductEngine
 
-ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_netlist.json"
+ARTIFACT = Path(__file__).resolve().parent.parent / ".bench_build" / "BENCH_netlist.json"
 REPEATS = 3
 
 
@@ -49,10 +51,10 @@ def test_packed_netlist_toggle_count_speedup():
     }
 
     unpacked_s, unpacked = best_of(
-        lambda: simulate(netlist, stimulus, backend="unpacked")
+        lambda: oracle.simulate(netlist, stimulus)
     )
     packed_s, packed = best_of(
-        lambda: simulate(netlist, stimulus, backend="packed")
+        lambda: simulate(netlist, stimulus)
     )
 
     # Correctness first: the speedup claim is only meaningful bit-identically.
@@ -87,7 +89,7 @@ def test_packed_netlist_toggle_count_speedup():
 
 def test_packed_sng_speedup_at_4096():
     # The SNG netlist (8-bit LFSR + comparator) used to force the packed
-    # backend onto the cycle-loop fallback; the feedback-core resolution
+    # simulator onto the cycle-loop fallback; the feedback-core resolution
     # must now deliver an order-of-magnitude speedup at Table 3 stream
     # lengths (the acceptance floor of this change is 10x at 4096 cycles).
     bits, cycles = 8, 4096
@@ -99,10 +101,10 @@ def test_packed_sng_speedup_at_4096():
     }
 
     unpacked_s, unpacked = best_of(
-        lambda: simulate(netlist, stimulus, backend="unpacked")
+        lambda: oracle.simulate(netlist, stimulus)
     )
     packed_s, packed = best_of(
-        lambda: simulate(netlist, stimulus, backend="packed")
+        lambda: simulate(netlist, stimulus)
     )
 
     assert packed.toggles == unpacked.toggles
@@ -136,7 +138,7 @@ def test_packed_sng_speedup_at_4096():
 
 def test_batched_multi_trace_speedup():
     # One batched word-parallel run over a whole trace set vs. the same
-    # traces simulated one by one on the (already fast) packed backend.
+    # traces simulated one by one on the (already fast) packed simulator.
     taps, counter_bits, cycles, traces = 25, 9, 1024, 32
     netlist = build_sc_dot_product(taps, counter_bits, adder="tff")
     rng = np.random.default_rng(3)
@@ -147,17 +149,13 @@ def test_batched_multi_trace_speedup():
 
     def sequential():
         return [
-            simulate(
-                netlist,
-                {net: wave[k] for net, wave in stimulus.items()},
-                backend="packed",
-            )
+            simulate(netlist, {net: wave[k] for net, wave in stimulus.items()})
             for k in range(traces)
         ]
 
     sequential_s, singles = best_of(sequential)
     batched_s, batched = best_of(
-        lambda: simulate_batch(netlist, stimulus, backend="packed")
+        lambda: simulate_batch(netlist, stimulus)
     )
 
     for k in (0, traces // 2, traces - 1):
@@ -191,24 +189,22 @@ def test_batched_multi_trace_speedup():
 
 
 def test_packed_bipolar_dot_product_speedup_at_4096():
-    """Packed vs. unpacked bipolar engine on the stream reduction path.
+    """Packed bipolar engine vs. the byte-per-bit oracle on the stream path.
 
     Pinned to ``mode="streams"``: this row has always compared the two
-    *backends* on the adder-tree stream reduction, and the count-domain mode
-    (which skips that reduction entirely, shrinking the backend gap) has its
-    own ``bipolar_count_dot`` row in BENCH_packed.json.
+    representations on the adder-tree stream reduction, and the count-domain
+    mode (which skips that reduction entirely, shrinking the gap) has its own
+    ``bipolar_count_dot`` row in BENCH_packed.json.
     """
     precision, taps, batch = 12, 25, 32  # stream length 4096
     rng = np.random.default_rng(1)
     x = rng.random((batch, taps))
     w = rng.uniform(-1.0, 1.0, taps)
 
+    engine = BipolarDotProductEngine(precision=precision, mode="streams")
     results, timings = {}, {}
-    for backend in ("unpacked", "packed"):
-        engine = BipolarDotProductEngine(
-            precision=precision, backend=backend, mode="streams"
-        )
-        timings[backend], results[backend] = best_of(lambda: engine.dot(x, w))
+    timings["unpacked"], results["unpacked"] = best_of(lambda: oracle.dot(engine, x, w))
+    timings["packed"], results["packed"] = best_of(lambda: engine.dot(x, w))
 
     np.testing.assert_array_equal(
         results["packed"].count, results["unpacked"].count
@@ -248,4 +244,5 @@ def _write_artifact(**sections):
         except json.JSONDecodeError:
             data = {}
     data.update(sections)
+    ARTIFACT.parent.mkdir(exist_ok=True)
     ARTIFACT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")

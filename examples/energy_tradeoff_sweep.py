@@ -9,8 +9,9 @@ binary sliding-window convolution engine and the proposed stochastic engine:
 * energy per frame,
 * die area,
 
-first with the raw gate-count model and then calibrated to the paper's 8-bit
-synthesis anchor (see DESIGN.md for the substitution rationale).  Ends with
+first with the raw gate-count model (this reproduction's stand-in for the
+paper's synthesis flow) and then calibrated to the paper's 8-bit synthesis
+anchor.  Ends with
 the headline claims: break-even precision and the energy advantage at 4 bits.
 
 Run with:  python examples/energy_tradeoff_sweep.py

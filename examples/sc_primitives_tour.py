@@ -2,8 +2,8 @@
 """A tour of the stochastic-computing substrate, from bit-streams to gates.
 
 Goes one level deeper than the quickstart: correlation metrics, the effect of
-auto-correlated (sensor-style) streams on different adders, the packed-word
-simulation backend, the exhaustive Table 1 / Table 2 sweeps, the
+auto-correlated (sensor-style) streams on different adders, packed-word
+simulation, the exhaustive Table 1 / Table 2 sweeps, the
 gate-level netlists behind the hardware numbers (cell counts, area, simulated
 switching activity), and the static analyzer that proves those netlists
 well-formed (``repro.netlist.lint`` / ``python -m repro lint``).
@@ -33,10 +33,12 @@ from repro.netlist import (
 )
 from repro.rng import MAXIMAL_TAPS, ComparatorSNG, LFSRSource, VanDerCorputSource, ramp_compare_stream
 from repro.sc import (
+    AdderTree,
     MuxAdder,
     StochasticConv2D,
     StochasticDotProductEngine,
     TffAdder,
+    count_ones,
     stochastic_to_binary,
 )
 
@@ -73,23 +75,27 @@ def main() -> None:
     stream = Bitstream.from_random(0.5, 4096, rng=0)
     packed = stream.pack()
     assert packed.unpack() == stream  # the conversion is lossless
-    print(f"unpacked storage: {stream.bits.nbytes} bytes;  "
+    print(f"byte-per-bit storage: {stream.bits.nbytes} bytes;  "
           f"packed: {packed.words.nbytes} bytes "
           f"({stream.bits.nbytes // packed.words.nbytes}x smaller)")
     rng = np.random.default_rng(1)
     x = rng.random((16, 25))
     w = rng.uniform(-1, 1, 25)
-    counts = {}
-    for backend in ("unpacked", "packed"):
-        engine = StochasticDotProductEngine(precision=10, backend=backend)
-        start = time.perf_counter()
-        result = engine.dot(x, w)
-        elapsed = time.perf_counter() - start
-        counts[backend] = result.positive_count
-        print(f"{backend:>8s} dot-product engine (N=1024): {elapsed * 1e3:6.1f} ms, "
-              f"first count {int(result.positive_count[0])}")
-    assert np.array_equal(counts["packed"], counts["unpacked"])
-    print("identical counter values, one backend ~an order of magnitude faster")
+    engine = StochasticDotProductEngine(precision=10)
+    start = time.perf_counter()
+    result = engine.dot(x, w)
+    packed_s = time.perf_counter() - start
+    # The same positive-weight tree built from the element-level primitives
+    # on one-byte-per-bit streams: AND multipliers, then a TFF adder tree.
+    start = time.perf_counter()
+    w_pos, _ = engine.weight_streams(w)
+    tree_out = AdderTree(TffAdder).reduce(engine.input_streams(x) & w_pos)
+    by_bytes = count_ones(tree_out)
+    bytes_s = time.perf_counter() - start
+    assert np.array_equal(by_bytes, result.positive_count)
+    print(f"dot-product engine (N=1024, 16 windows x 25 taps): {packed_s * 1e3:6.1f} ms; "
+          f"element-level byte-per-bit tree: {bytes_s * 1e3:6.1f} ms")
+    print(f"identical counter values (first count {int(result.positive_count[0])})")
 
     section("Exhaustive accuracy sweeps (Tables 1 and 2, 6-bit for speed)")
     print(format_table1(run_table1(precisions=(6, 4))))
@@ -114,35 +120,26 @@ def main() -> None:
           f"{result.average_activity():.2f}, power {report.total_mw * 1e3:.1f} uW at 500 MHz")
 
     section("Packed netlist simulation: whole waveforms, 64 cycles per word")
+    # Every cell is evaluated once on whole-run uint64 waveform words; the
+    # test suite checks every builder circuit against a per-cycle cell loop.
     cycles = 512
     stimulus = {net: rng.integers(0, 2, cycles) for net in engine.primary_inputs}
-    timings = {}
-    for backend in ("unpacked", "packed"):
-        start = time.perf_counter()
-        activity = simulate(engine, stimulus, backend=backend)
-        timings[backend] = time.perf_counter() - start
-        print(f"{backend:>8s} simulation of the engine netlist "
-              f"({len(engine.instances)} cells x {cycles} cycles): "
-              f"{timings[backend] * 1e3:6.1f} ms, "
-              f"{activity.total_toggles()} toggles")
-    print(f"identical toggle counts, packed "
-          f"{timings['unpacked'] / timings['packed']:.0f}x faster "
-          "(same word kernels now also drive the bipolar XNOR engine)")
+    start = time.perf_counter()
+    activity = simulate(engine, stimulus)
+    elapsed = time.perf_counter() - start
+    print(f"simulation of the engine netlist ({len(engine.instances)} cells x "
+          f"{cycles} cycles): {elapsed * 1e3:6.1f} ms, "
+          f"{activity.total_toggles()} toggles")
 
     section("Feedback cores: LFSR netlists stay word-parallel")
     sng = build_sng(8, MAXIMAL_TAPS[8])
     cycles = 2048
     stimulus = {net: rng.integers(0, 2, cycles) for net in sng.primary_inputs}
-    timings = {}
-    for backend in ("unpacked", "packed"):
-        start = time.perf_counter()
-        activity = simulate(sng, stimulus, backend=backend)
-        timings[backend] = time.perf_counter() - start
+    start = time.perf_counter()
+    simulate(sng, stimulus)
+    elapsed = time.perf_counter() - start
     print(f"SNG netlist (8-bit LFSR + comparator, {len(sng.instances)} cells, "
-          f"{cycles} cycles):")
-    print(f"  cycle loop {timings['unpacked'] * 1e3:6.1f} ms, "
-          f"packed {timings['packed'] * 1e3:6.1f} ms "
-          f"({timings['unpacked'] / timings['packed']:.0f}x)")
+          f"{cycles} cycles): {elapsed * 1e3:6.1f} ms")
     print("  the LFSR loop is iterated only over its 255-state period and the")
     print("  waveform wrapped out to the full run; the comparator stays packed")
 
@@ -152,7 +149,7 @@ def main() -> None:
     # axis (plus fused positive/negative trees) so a single reduction covers
     # every kernel -- bit-identical to looping dot_prepared per kernel, and
     # for the TFF adder the tree collapses to exact count arithmetic.
-    conv_engine = StochasticDotProductEngine(precision=8, backend="packed")
+    conv_engine = StochasticDotProductEngine(precision=8)
     windows = rng.random((256, 25))          # one 16x16 image's worth of patches
     conv_kernels = rng.uniform(-1, 1, (32, 25))
     prepared = conv_engine.prepare_inputs(windows)
@@ -179,9 +176,9 @@ def main() -> None:
     # as streams ("counts" raises for them).
     for adder in ("mux", "tff"):
         stream_eng = StochasticDotProductEngine(
-            precision=8, adder=adder, backend="packed", mode="streams")
+            precision=8, adder=adder, mode="streams")
         count_eng = StochasticDotProductEngine(
-            precision=8, adder=adder, backend="packed", mode="counts")
+            precision=8, adder=adder, mode="counts")
         start = time.perf_counter()
         via_streams = stream_eng.dot_filters(windows, conv_kernels)
         stream_s = time.perf_counter() - start
@@ -203,10 +200,10 @@ def main() -> None:
     image = rng.random((1, 16, 16))
     full_layer = StochasticConv2D(
         conv_kernels.reshape(32, 5, 5), engine=StochasticDotProductEngine(
-            precision=8, backend="packed"), padding=2)
+            precision=8), padding=2)
     tiled_layer = StochasticConv2D(
         conv_kernels.reshape(32, 5, 5), engine=StochasticDotProductEngine(
-            precision=8, backend="packed"), padding=2, tile_patches=60)
+            precision=8), padding=2, tile_patches=60)
     full = full_layer.forward(image)
     tiled = tiled_layer.forward(image)
     assert np.array_equal(full.positive_count, tiled.positive_count)
@@ -282,20 +279,16 @@ def main() -> None:
           f"swing {worst} LSBs across 40 seeds")
 
     # Stuck-at faults drop straight into the gate-level view: force the SNG
-    # comparator's output net and the stream density collapses, on both
-    # simulation backends identically.
+    # comparator's output net and the stream density collapses.
     sng = build_sng(4, MAXIMAL_TAPS[4])
     value_bits = {f"value{i}": np.full(16, (11 >> i) & 1, dtype=np.uint8)
                   for i in range(4)}
     healthy = simulate(sng, value_bits)
     stuck = simulate(sng, value_bits, faults={"stream": 0})
-    stuck_unpacked = simulate(sng, value_bits, backend="unpacked",
-                              faults={"stream": 0})
-    assert np.array_equal(stuck.waveforms["stream"],
-                          stuck_unpacked.waveforms["stream"])
+    assert not stuck.waveforms["stream"].any()
     print(f"SNG netlist converting 11/16: healthy density "
           f"{healthy.waveforms['stream'].mean():.3f}, stream stuck-at-0 -> "
-          f"{stuck.waveforms['stream'].mean():.3f} (backends agree)")
+          f"{stuck.waveforms['stream'].mean():.3f}")
 
     # And the engine-level spec threads through a convolution tile: stream
     # faults force the stream-domain evaluation and corrupt every tile at

@@ -1,12 +1,14 @@
 """Bit-stream representations and value encodings for stochastic computing.
 
-Two interchangeable stream representations are provided: the byte-per-bit
-:class:`Bitstream` reference and the 64-bits-per-word
-:class:`~repro.bitstream.packed.PackedBitstream` fast backend, convertible
-losslessly via ``Bitstream.pack()`` / ``PackedBitstream.unpack()``.
+Every simulator (the dot-product engines, the netlist simulator, the Table
+1/2 sweeps) runs on packed streams: 64 clock cycles per ``uint64`` word,
+with the word kernels of :mod:`repro.bitstream.packed`.  The element-level
+:class:`Bitstream` class keeps one byte per bit for hand-built streams and
+the primitive tour; it converts losslessly to and from
+:class:`~repro.bitstream.packed.PackedBitstream` via ``Bitstream.pack()`` /
+``PackedBitstream.unpack()``.
 """
 
-from .backend import BACKENDS, resolve_backend, validate_backend
 from .bitstream import Bitstream
 from .correlation import (
     autocorrelation,
@@ -51,9 +53,6 @@ from .encoding import (
 )
 
 __all__ = [
-    "BACKENDS",
-    "resolve_backend",
-    "validate_backend",
     "Bitstream",
     "PackedBitstream",
     "WORD_BITS",

@@ -1,4 +1,4 @@
-"""Packed-word bit-stream backend: 64 bits per machine word, popcount kernels.
+"""Packed-word bit-streams: 64 bits per machine word, popcount kernels.
 
 The unpacked :class:`~repro.bitstream.bitstream.Bitstream` representation
 stores every bit as one ``uint8`` byte, which is convenient but makes the

@@ -16,8 +16,9 @@ fixture:
   summed cell area to die area.
 
 Absolute calibration is inherited from the 65 nm-like standard-cell library
-(:mod:`repro.netlist.cells`); DESIGN.md describes why the Table 3 *trends*
-do not depend on these constants.
+(:mod:`repro.netlist.cells`).  The Table 3 *trends* do not depend on these
+constants: both designs are costed with the same library, and the 8-bit
+anchoring (:mod:`repro.hw.comparison`) removes their absolute scale.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ a shared ramp, and the comparator output *is* the stochastic bit-stream --
 no ADC, no SNG, no random number generator on the input path.
 
 There is no physical sensor in this reproduction, so the front end is
-simulated (see DESIGN.md): pixels arrive as digital values in ``[0, 1]``,
+simulated: pixels arrive as digital values in ``[0, 1]``,
 optional sensor noise models photon/readout noise, and the ramp-compare
 converter produces bit-streams with exactly the structure the analog circuit
 would emit (exact ones-counts, maximal auto-correlation).  Conversion energy
@@ -68,7 +68,8 @@ class SensorFrontEnd:
     def acquire(self, images: np.ndarray) -> np.ndarray:
         """Apply sensor noise and clip to the valid pixel range ``[0, 1]``."""
         images = np.asarray(images, dtype=np.float64)
-        if images.min() < -1e-9 or images.max() > 1.0 + 1e-9:
+        # An empty batch has no pixels to validate (``min()`` would raise).
+        if images.size and (images.min() < -1e-9 or images.max() > 1.0 + 1e-9):
             raise ValueError("pixel values must lie in [0, 1]")
         if self.noise_sigma == 0.0:
             return np.clip(images, 0.0, 1.0)

@@ -23,8 +23,9 @@ experiments:
 :meth:`CalibratedSCEmulator.calibrate` performs the calibration,
 :meth:`CalibratedSCEmulator.forward` applies the model, and the test suite
 checks the emulator's sign decisions against the bit-exact engine.
-DESIGN.md documents this substitution; the ``REPRO_BITEXACT=1`` environment
-variable switches the Table 3 harness to full bit-exact evaluation.
+The emulator is a speed substitution of this reproduction, not part of the
+paper's method; the ``REPRO_BITEXACT=1`` environment variable switches the
+Table 3 harness to full bit-exact evaluation.
 
 The emulator accepts either first-layer engine: the paper's split-weight
 :class:`~repro.sc.dotproduct.StochasticDotProductEngine` (calibrating the
@@ -32,10 +33,9 @@ positive-minus-negative counter difference) or the rejected
 :class:`~repro.sc.bipolar.BipolarDotProductEngine` (calibrating the single
 counter's offset from the mid-scale decision point ``N/2``), so the Section
 IV-B ablation can also run at full-test-set scale.  Calibration always runs
-through the engine's active simulation ``backend`` -- packed words by
-default, bit-identical counts either way -- and the engine's evaluation
-``mode`` (:mod:`repro.sc.mode`): under the default ``"auto"`` the residual
-samples come from the exact count-domain shortcut (TFF and MUX trees) with
+the engine's packed bit-exact path under its evaluation ``mode``
+(:mod:`repro.sc.mode`): under the default ``"auto"`` the residual samples
+come from the exact count-domain shortcut (TFF and MUX trees) with
 no adder-tree stream tensors, so calibration speed scales with the count
 path while the measured residuals stay bit-identical to ``mode="streams"``.
 
@@ -138,9 +138,8 @@ class CalibratedSCEmulator:
         if sample_inputs.shape[1] != sample_weights.shape[1]:
             raise ValueError("tap count mismatch between inputs and weights")
 
-        # Bit-exact reference evaluation through the engine's active backend
-        # (packed words by default; identical counts either way).  Input
-        # streams are generated per tile (bounded memory at any sample
+        # Bit-exact reference evaluation through the engine's packed path.
+        # Input streams are generated per tile (bounded memory at any sample
         # count); stream generation is stateless and weight streams / adder
         # nodes are shared across tiles, so tiling never changes a count.
         samples = sample_inputs.shape[0]
@@ -219,7 +218,6 @@ class CalibratedSCEmulator:
         self,
         windows: np.ndarray,
         weights: np.ndarray,
-        backend: Optional[str] = None,
     ) -> BatchSimulationResult:
         """Gate-level switching activity of the engine on a real trace set.
 
@@ -240,8 +238,6 @@ class CalibratedSCEmulator:
             Unipolar input windows of shape ``(traces, taps)``.
         weights:
             One signed kernel of shape ``(taps,)`` (shared by every trace).
-        backend:
-            Simulation backend override; defaults to the engine's backend.
         """
         if self._bipolar:
             raise ValueError(
@@ -279,12 +275,7 @@ class CalibratedSCEmulator:
                 stimulus[net] = rng.integers(
                     0, 2, self.engine.length, dtype=np.int64
                 ).astype(np.uint8)
-        return simulate_batch(
-            netlist,
-            stimulus,
-            backend=backend if backend is not None else self.engine.backend,
-            strict=True,
-        )
+        return simulate_batch(netlist, stimulus, strict=True)
 
     # ------------------------------------------------------------------ #
     # fast forward pass

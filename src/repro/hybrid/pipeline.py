@@ -17,10 +17,8 @@ The class supports three evaluation modes for the first layer:
 * ``"emulate"``   -- the calibrated fast emulator
                      (:mod:`repro.hybrid.emulation`).
 
-Bit-level simulation runs on the engine's selected ``backend``: the default
-packed backend stores 64 stream bits per machine word (an order of magnitude
-faster, bit-identical counters), while ``backend="unpacked"`` keeps the
-byte-per-bit reference arrays (see :mod:`repro.bitstream.packed`).
+Bit-level simulation stores 64 stream bits per machine word and runs the
+engine's word kernels (see :mod:`repro.bitstream.packed`).
 """
 
 from __future__ import annotations
@@ -166,11 +164,6 @@ class HybridStochasticBinaryNetwork:
         """Bit precision of the stochastic first layer."""
         return self.engine.precision
 
-    @property
-    def backend(self) -> str:
-        """Simulation backend of the stochastic engine ("packed" or "unpacked")."""
-        return self.engine.backend
-
     # ------------------------------------------------------------------ #
     # first-layer evaluation modes
     # ------------------------------------------------------------------ #
@@ -194,6 +187,10 @@ class HybridStochasticBinaryNetwork:
 
     def first_layer_emulated(self, images: np.ndarray) -> np.ndarray:
         """Evaluate the first layer with the calibrated fast emulator."""
+        if len(images) == 0:
+            # No windows to emulate or to calibrate on; the binary layer
+            # yields the correctly shaped empty maps.
+            return self.first_layer_binary(images)
         emulator = self._get_emulator(images)
         acquired = self.front_end.acquire(np.asarray(images, dtype=np.float64))
         return emulator.forward(
@@ -254,7 +251,8 @@ class HybridStochasticBinaryNetwork:
     ) -> np.ndarray:
         """Predicted class per image."""
         images = np.asarray(images, dtype=np.float64)
-        predictions = []
+        # The empty seed keeps an empty batch a (0,) result, not a crash.
+        predictions = [np.empty(0, dtype=np.int64)]
         for start in range(0, images.shape[0], batch_size):
             logits = self.forward(images[start : start + batch_size], mode=mode)
             predictions.append(np.argmax(logits, axis=1))

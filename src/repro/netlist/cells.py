@@ -2,11 +2,11 @@
 
 The paper synthesizes its designs with Synopsys Design Compiler / IC Compiler
 against a 65 nm TSMC library and measures power with PrimeTime.  That flow is
-proprietary, so this module provides the substitution documented in
-DESIGN.md: a small standard-cell library whose per-cell area, switching
-energy and leakage are representative of a commercial 65 nm process
-(normalized to a NAND2-equivalent area of 1.44 um^2 and a switching energy of
-a few femtojoules per output toggle at nominal voltage).
+proprietary, so this module substitutes a small standard-cell library whose
+per-cell area, switching energy and leakage are representative of a
+commercial 65 nm process (normalized to a NAND2-equivalent area of
+1.44 um^2 and a switching energy of a few femtojoules per output toggle at
+nominal voltage).
 
 Absolute numbers from this library are *calibrated, not signed off*; what the
 reproduction relies on is that relative costs between cells (a full adder is
@@ -60,7 +60,7 @@ class Cell:
         output bit tuple.  For sequential cells: a function mapping
         ``(state, inputs)`` to ``(new_state, outputs)``.
     word_logic:
-        The word-parallel counterpart used by the packed simulator backend.
+        The word-parallel counterpart used by the netlist simulator.
         For combinational cells: ``word_logic(inputs, ones)`` maps a tuple of
         packed uint64 waveform arrays (the whole simulation, 64 cycles per
         word) to the output waveform tuple; ``ones`` is the all-ones waveform
@@ -77,7 +77,7 @@ class Cell:
         (:func:`repro.netlist.simulator.simulate_batch`) passes waveform
         arrays of shape ``(traces, words)`` mixed with shared ``(words,)``
         arrays through the very same functions.  ``None`` means the cell has
-        no packed fast path and forces the cycle-loop backend.
+        no packed fast path and forces the per-cycle simulation loop.
     word_step:
         Sequential cells only: the word-parallel *single-cycle* transition
         ``word_step(state, inputs) -> (new_state, outputs)``, where ``state``
@@ -142,7 +142,7 @@ def _tff_logic(state: int, inputs: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...
 
 
 # --------------------------------------------------------------------------- #
-# word-parallel logic (packed simulator backend)
+# word-parallel logic (netlist simulator)
 # --------------------------------------------------------------------------- #
 def _wcomb(fn):
     """Wrap a word function ``fn(*inputs, ones)`` into the tuple interface."""

@@ -13,39 +13,34 @@ The simulation model is the standard zero-delay cycle model:
   sequential cells present their stored state on their outputs;
 * at the end of the cycle, sequential cells capture their next state.
 
-Backend selection
------------------
-Two execution backends produce that model's results (selected by the same
-``backend="packed"|"unpacked"`` / ``REPRO_BACKEND`` convention as the
-stochastic dot-product engines, see
-:func:`repro.bitstream.backend.resolve_backend`):
-
-* ``"unpacked"`` -- the reference interpreter: combinational cells are
-  evaluated in topological order, one Python call per cell per cycle;
-* ``"packed"`` -- the word-parallel fast path: every net's full waveform is
-  stored 64 cycles per ``uint64`` word and each combinational cell is
-  evaluated once on whole word arrays (its :attr:`~repro.netlist.cells.Cell`
-  ``word_logic``).  Sequential cells are resolved in closed form -- a DFF is
-  a one-cycle packed delay, a TFF a word-parallel prefix-parity scan -- in
-  topological order of the *register* dependency graph.  Toggle counts come
-  from the ``popcount(w ^ (w >> 1))`` word kernel
-  (:func:`repro.bitstream.packed.packed_transition_count`).
+Word-parallel execution
+-----------------------
+Every net's full waveform is stored 64 cycles per ``uint64`` word and each
+combinational cell is evaluated once on whole word arrays (its
+:attr:`~repro.netlist.cells.Cell` ``word_logic``).  Sequential cells are
+resolved in closed form -- a DFF is a one-cycle packed delay, a TFF a
+word-parallel prefix-parity scan -- in topological order of the *register*
+dependency graph.  Toggle counts come from the ``popcount(w ^ (w >> 1))``
+word kernel (:func:`repro.bitstream.packed.packed_transition_count`).
 
 Netlists whose registers form a combinational feedback cycle (e.g. an LFSR,
 or the accumulator loop of a binary MAC) have no per-register closed form.
-The packed backend resolves them without abandoning word parallelism: the
-stalled instances are grouped into strongly connected components of the
-register dependency graph, and only that narrow feedback *core* is iterated
-cycle by cycle over its state vector.  Autonomous cores (all external inputs
+They are resolved without abandoning word parallelism: the stalled
+instances are grouped into strongly connected components of the register
+dependency graph, and only that narrow feedback *core* is iterated cycle by
+cycle over its state vector.  Autonomous cores (all external inputs
 constant, the LFSR case) additionally stop at the first repeated register
 state and wrap the periodic waveform out to the full run length
 (:func:`repro.bitstream.packed.extend_periodic`), so an ``n``-bit LFSR costs
 ``min(cycles, period)`` scalar steps regardless of the simulation length.
 The packed core waveforms then feed the ordinary word-parallel evaluation of
-everything downstream (comparators, trees, counters), so results stay
-bit-identical to ``"unpacked"`` on every netlist.  The only remaining
-cycle-loop fallback is a cell without a ``word_logic`` implementation, which
-no library cell triggers.
+everything downstream (comparators, trees, counters).
+
+The per-cycle cell loop (:func:`_simulate_cycle_loop`: combinational cells
+evaluated in topological order, one Python call per cell per cycle) is
+the path for a cell without a ``word_logic`` implementation, which no
+library cell triggers.  The word-parallel path is bit-identical to it on
+every netlist.
 
 Batched multi-trace simulation
 ------------------------------
@@ -73,8 +68,8 @@ the static analyzer (:mod:`repro.netlist.lint`) before execution.  Plain
 additionally rejects undriven primary outputs, duplicate instance names
 (which would silently share one sequential-state entry in the cycle loop),
 combinational cycles (reported as their actual SCC member list), and
-out-of-range ``initial_state`` values (which diverge between the packed and
-unpacked backends).  Use it when simulating netlists from new or generated
+out-of-range ``initial_state`` values (which diverge between the
+word-parallel path and the cycle loop).  Use it when simulating netlists from new or generated
 builders; the cost is one linear graph pass.
 """
 
@@ -85,7 +80,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
 import numpy as np
 
-from ..bitstream.backend import resolve_backend
 from ..bitstream.packed import (
     extend_periodic,
     mask_tail,
@@ -263,59 +257,15 @@ def _validate_faults(
     return dict(coerced.stuck_at)
 
 
-def simulate(
+def _single_trace_setup(
     netlist: Netlist,
     stimulus: Mapping[str, Sequence[int] | np.ndarray],
-    cycles: Optional[int] = None,
-    record: Optional[Sequence[str]] = None,
-    backend: Optional[str] = None,
-    strict: bool = False,
-    faults: Optional[NetlistFaults | Mapping[str, int]] = None,
-) -> SimulationResult:
-    """Simulate a netlist against input waveforms.
-
-    Parameters
-    ----------
-    netlist:
-        The circuit to simulate.
-    stimulus:
-        Mapping from primary-input net name to its per-cycle bit values.
-        Every primary input must be covered.
-    cycles:
-        Number of cycles; defaults to the length of the shortest stimulus.
-    record:
-        Net names whose waveforms should be returned.  Defaults to the primary
-        outputs.  Every name must exist in the netlist (``ValueError``
-        otherwise).  Toggle counts are always collected for *all* nets.
-    backend:
-        ``"packed"`` evaluates each cell on whole 64-cycles-per-word uint64
-        waveform words, resolving register feedback cores (LFSRs, accumulator
-        loops) by narrow per-cycle state iteration with periodic wrapping;
-        ``"unpacked"`` runs the per-cycle cell loop.  Both produce
-        bit-identical results on every netlist.  ``None`` defers to
-        ``REPRO_BACKEND``, then ``"packed"``.
-    strict:
-        Strict elaboration mode: run the error-severity rules of
-        :mod:`repro.netlist.lint` before execution and raise
-        :class:`~repro.netlist.lint.LintError` on any hit.  This catches
-        structural corruption :meth:`~repro.netlist.netlist.Netlist.validate`
-        cannot see -- duplicate instance names silently sharing sequential
-        state, out-of-range initial states diverging between backends,
-        undriven primary outputs -- instead of producing wrong waveforms.
-    faults:
-        Optional :class:`~repro.faults.NetlistFaults` (or a plain
-        ``{net: 0-or-1}`` mapping) of stuck-at faults: each listed net is
-        forced to its constant at the driver for the whole run, so all
-        fan-out, register captures, recorded waveforms and toggle counts see
-        the defect.  Unknown net names raise ``ValueError`` (the same
-        lint-style validation as ``record``).  Both backends force
-        identically.
-
-    Returns
-    -------
-    SimulationResult
-    """
-    backend = resolve_backend(backend)
+    cycles: Optional[int],
+    record: Optional[Sequence[str]],
+    strict: bool,
+    faults: Optional[NetlistFaults | Mapping[str, int]],
+):
+    """Validate :func:`simulate` arguments; return ``(waves, cycles, record, nets, forced)``."""
     if strict:
         _strict_elaborate(netlist)
     netlist.validate()
@@ -324,8 +274,7 @@ def simulate(
     if missing:
         raise ValueError(f"missing stimulus for primary inputs: {missing}")
 
-    # Normalize to strict 0/1 up front (any nonzero value counts as logic 1)
-    # so both backends see identical bits.
+    # Normalize to strict 0/1 up front (any nonzero value counts as logic 1).
     waves = {
         net: (np.asarray(stimulus[net]) != 0).astype(np.uint8)
         for net in netlist.primary_inputs
@@ -349,67 +298,79 @@ def simulate(
     nets = _driven_nets(netlist)
     record = _validate_record(netlist, record, nets)
     forced = _validate_faults(netlist, faults, nets)
-
-    if backend == "packed":
-        result = _simulate_packed(
-            netlist, waves, int(cycles), record, nets, forced=forced
-        )
-        if result is not None:
-            return result
-    return _simulate_cycle_loop(
-        netlist, waves, int(cycles), record, nets, forced=forced
-    )
+    return waves, int(cycles), record, nets, forced
 
 
-def simulate_batch(
+def simulate(
     netlist: Netlist,
-    stimulus: Mapping[str, Sequence[Sequence[int]] | np.ndarray],
+    stimulus: Mapping[str, Sequence[int] | np.ndarray],
     cycles: Optional[int] = None,
     record: Optional[Sequence[str]] = None,
-    backend: Optional[str] = None,
-    batch: Optional[int] = None,
     strict: bool = False,
     faults: Optional[NetlistFaults | Mapping[str, int]] = None,
-) -> BatchSimulationResult:
-    """Simulate a netlist against a whole batch of stimulus traces at once.
+) -> SimulationResult:
+    """Simulate a netlist against input waveforms.
 
-    Semantically identical to calling :func:`simulate` once per trace and
-    stacking the results (that is literally what ``backend="unpacked"``
-    does); the packed backend evaluates all traces in one word-parallel run,
-    which is how a full MNIST trace set is covered by a single simulation.
+    Every cell is evaluated on whole 64-cycles-per-word uint64 waveform
+    words, with register feedback cores (LFSRs, accumulator loops) resolved
+    by narrow per-cycle state iteration and periodic wrapping (see the
+    module docstring).
 
     Parameters
     ----------
     netlist:
         The circuit to simulate.
     stimulus:
-        Mapping from primary-input net name to per-cycle bit values.  2-D
-        arrays of shape ``(batch, cycles)`` carry one waveform per trace;
-        1-D arrays of shape ``(cycles,)`` are shared by every trace (e.g.
-        weight or select streams that do not change between images).
+        Mapping from primary-input net name to its per-cycle bit values.
+        Every primary input must be covered; any nonzero value is logic 1.
     cycles:
-        Number of cycles per trace; defaults to the shortest stimulus.
+        Number of cycles; defaults to the length of the shortest stimulus.
     record:
-        Net names whose waveforms should be returned (defaults to the
-        primary outputs); toggle counts cover all nets, per trace.
-    backend:
-        Same convention as :func:`simulate`.
-    batch:
-        Explicit batch size; only needed when no stimulus entry is 2-D
-        (e.g. an input-less netlist or all-shared stimulus).
+        Net names whose waveforms should be returned.  Defaults to the primary
+        outputs.  Every name must exist in the netlist (``ValueError``
+        otherwise).  Toggle counts are always collected for *all* nets.
     strict:
-        Same strict elaboration mode as :func:`simulate`: error-severity
-        lint rules run once before the batch and raise
-        :class:`~repro.netlist.lint.LintError` on any hit.
+        Strict elaboration mode: run the error-severity rules of
+        :mod:`repro.netlist.lint` before execution and raise
+        :class:`~repro.netlist.lint.LintError` on any hit.  This catches
+        structural corruption :meth:`~repro.netlist.netlist.Netlist.validate`
+        cannot see -- duplicate instance names silently sharing sequential
+        state, out-of-range initial states, undriven primary outputs --
+        instead of producing wrong waveforms.
     faults:
-        Same stuck-at fault model as :func:`simulate`; the forced constants
-        are shared by every trace in the batch.
+        Optional :class:`~repro.faults.NetlistFaults` (or a plain
+        ``{net: 0-or-1}`` mapping) of stuck-at faults: each listed net is
+        forced to its constant at the driver for the whole run, so all
+        fan-out, register captures, recorded waveforms and toggle counts see
+        the defect.  Unknown net names raise ``ValueError`` (the same
+        lint-style validation as ``record``).
 
     Returns
     -------
-    BatchSimulationResult
+    SimulationResult
     """
-    backend = resolve_backend(backend)
+    waves, cycles, record, nets, forced = _single_trace_setup(
+        netlist, stimulus, cycles, record, strict, faults
+    )
+    result = _simulate_packed(netlist, waves, cycles, record, nets, forced=forced)
+    if result is None:
+        result = _simulate_cycle_loop(netlist, waves, cycles, record, nets, forced)
+    return result
+
+
+def _batch_setup(
+    netlist: Netlist,
+    stimulus: Mapping[str, Sequence[Sequence[int]] | np.ndarray],
+    cycles: Optional[int],
+    record: Optional[Sequence[str]],
+    batch: Optional[int],
+    strict: bool,
+    faults: Optional[NetlistFaults | Mapping[str, int]],
+):
+    """Validate :func:`simulate_batch` arguments.
+
+    Returns ``(waves, cycles, record, nets, batch, forced)``.
+    """
     if strict:
         _strict_elaborate(netlist)
     netlist.validate()
@@ -471,16 +432,76 @@ def simulate_batch(
     nets = _driven_nets(netlist)
     record = _validate_record(netlist, record, nets)
     forced = _validate_faults(netlist, faults, nets)
-    cycles = int(cycles)
+    return waves, int(cycles), record, nets, batch, forced
 
-    if backend == "packed":
-        result = _simulate_packed(
-            netlist, waves, cycles, record, nets, batch=batch, forced=forced
+
+def simulate_batch(
+    netlist: Netlist,
+    stimulus: Mapping[str, Sequence[Sequence[int]] | np.ndarray],
+    cycles: Optional[int] = None,
+    record: Optional[Sequence[str]] = None,
+    batch: Optional[int] = None,
+    strict: bool = False,
+    faults: Optional[NetlistFaults | Mapping[str, int]] = None,
+) -> BatchSimulationResult:
+    """Simulate a netlist against a whole batch of stimulus traces at once.
+
+    Semantically identical to calling :func:`simulate` once per trace and
+    stacking the results; all traces are evaluated in one word-parallel run,
+    which is how a full MNIST trace set is covered by a single simulation.
+
+    Parameters
+    ----------
+    netlist:
+        The circuit to simulate.
+    stimulus:
+        Mapping from primary-input net name to per-cycle bit values.  2-D
+        arrays of shape ``(batch, cycles)`` carry one waveform per trace;
+        1-D arrays of shape ``(cycles,)`` are shared by every trace (e.g.
+        weight or select streams that do not change between images).
+    cycles:
+        Number of cycles per trace; defaults to the shortest stimulus.
+    record:
+        Net names whose waveforms should be returned (defaults to the
+        primary outputs); toggle counts cover all nets, per trace.
+    batch:
+        Explicit batch size; only needed when no stimulus entry is 2-D
+        (e.g. an input-less netlist or all-shared stimulus).
+    strict:
+        Same strict elaboration mode as :func:`simulate`: error-severity
+        lint rules run once before the batch and raise
+        :class:`~repro.netlist.lint.LintError` on any hit.
+    faults:
+        Same stuck-at fault model as :func:`simulate`; the forced constants
+        are shared by every trace in the batch.
+
+    Returns
+    -------
+    BatchSimulationResult
+    """
+    waves, cycles, record, nets, batch, forced = _batch_setup(
+        netlist, stimulus, cycles, record, batch, strict, faults
+    )
+    result = _simulate_packed(
+        netlist, waves, cycles, record, nets, batch=batch, forced=forced
+    )
+    if result is None:
+        result = _simulate_batch_cycle_loop(
+            netlist, waves, cycles, record, nets, batch, forced
         )
-        if result is not None:
-            return result
+    return result
 
-    # Reference semantics: one independent cycle-loop run per trace.
+
+def _simulate_batch_cycle_loop(
+    netlist: Netlist,
+    waves: Dict[str, np.ndarray],
+    cycles: int,
+    record: List[str],
+    nets: List[str],
+    batch: int,
+    forced: Optional[Dict[str, int]] = None,
+) -> BatchSimulationResult:
+    """One independent :func:`_simulate_cycle_loop` run per trace, stacked."""
     per_trace = [
         _simulate_cycle_loop(
             netlist,
@@ -506,7 +527,7 @@ def simulate_batch(
 
 
 # --------------------------------------------------------------------------- #
-# reference backend: the per-cycle cell loop
+# reference semantics: the per-cycle cell loop
 # --------------------------------------------------------------------------- #
 def _simulate_cycle_loop(
     netlist: Netlist,
@@ -563,7 +584,7 @@ def _simulate_cycle_loop(
 
 
 # --------------------------------------------------------------------------- #
-# packed backend: whole-waveform word kernels
+# word-parallel evaluation: whole-waveform word kernels
 # --------------------------------------------------------------------------- #
 def _simulate_packed(
     netlist: Netlist,
@@ -665,7 +686,7 @@ def _simulate_packed(
         words = values[net]
         if words.ndim == 1:
             # tile, not broadcast_to: callers get independent writable rows,
-            # exactly like the unpacked backend returns.
+            # exactly like the per-trace cycle loop returns.
             recorded[net] = np.tile(unpack_bits(words, cycles), (batch, 1))
         else:
             recorded[net] = unpack_bits(words, cycles)
@@ -688,12 +709,6 @@ def _simulate_packed(
 # --------------------------------------------------------------------------- #
 # register feedback cores: narrow per-cycle resolution inside the packed run
 # --------------------------------------------------------------------------- #
-# Tarjan's algorithm moved to repro.netlist.graph so the static analyzer can
-# report combinational cycles with the same machinery; the alias keeps the
-# simulator's historical private name importable.
-_strongly_connected = strongly_connected_instances
-
-
 def _resolve_register_cores(
     stuck: List[Instance],
     comb_order: List[Instance],
@@ -726,7 +741,7 @@ def _resolve_register_cores(
                     self_loops.add(id(inst))
 
     resolved: Set[int] = set()
-    for component in _strongly_connected(stuck, succs):
+    for component in strongly_connected_instances(stuck, succs):
         member_ids = {id(inst) for inst in component}
         ready = all(
             produced.get(net) is None or id(produced[net]) in member_ids

@@ -435,7 +435,8 @@ class Flatten(Layer):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._input_shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        # Explicit width: ``reshape(0, -1)`` is ambiguous for an empty batch.
+        return x.reshape(x.shape[0], int(np.prod(x.shape[1:])))
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         return grad_output.reshape(self._input_shape)

@@ -12,7 +12,7 @@ builders are provided:
   remainder.  Because the paper's experiments only ever modify the first
   layer, this variant exercises the identical hybrid code path at a fraction
   of the CPU-only training cost; it is the default for the Table 3 accuracy
-  benchmarks (see DESIGN.md, "Known scale-downs").
+  benchmarks, which scale the paper's training budget down to run on a CPU.
 
 Both builders accept ``first_activation`` so the ReLU of the baseline model
 can be swapped for the sign activation used by the quantized / stochastic

@@ -14,17 +14,15 @@ a scaled adder tree entirely in the bipolar domain.  The ablation benchmark
 ``benchmarks/test_ablation_bipolar.py`` compares the two designs' accuracy
 near the decision point.
 
-Like the unipolar engine, the bipolar engine runs on either simulation
-``backend``: ``"packed"`` (64 stream bits per uint64 word, word-level XNOR /
-adder-tree kernels) or ``"unpacked"`` (one byte per bit).  Both backends are
-bit-order exact -- identical counter values in every configuration -- so the
-choice only affects speed and memory.  It also honours the engine ``mode``
-(:mod:`repro.sc.mode`): in count mode (the default, exact for both its adder
-types) the XNOR products are popcounted once and the tree is reduced in the
-count domain -- integer ``floor((cx + cy) / 2)`` halving for TFF trees, with
-odd tap counts padded by the exact alternating-stream count ``N / 2``;
-cached select masks for MUX trees -- never materializing an adder-tree
-stream tensor, bit-identically to stream mode.
+Like the unipolar engine, the bipolar engine simulates packed streams (64
+stream bits per uint64 word, word-level XNOR / adder-tree kernels).  It
+honours the engine ``mode`` (:mod:`repro.sc.mode`): in count mode (the
+default, exact for both its adder types) the XNOR products are popcounted
+once and the tree is reduced in the count domain -- integer
+``floor((cx + cy) / 2)`` halving for TFF trees, with odd tap counts padded
+by the exact alternating-stream count ``N / 2``; cached select masks for MUX
+trees -- never materializing an adder-tree stream tensor, bit-identically to
+stream mode.
 
 Sign-tie contract
 -----------------
@@ -46,14 +44,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..bitstream import bipolar_to_unipolar
+from ..bitstream import bipolar_to_unipolar, stream_length
 from ..bitstream.packed import packed_alternating, packed_popcount, packed_xnor
 from ..faults.spec import FaultSpec
 from ..rng import ComparatorSNG, SobolSource, VanDerCorputSource
 from .elements.adders import AdderTree, MuxAdder, TffAdder, TreePlan
-from .elements.converters import count_ones
-from .elements.multipliers import xnor_multiply
-from .dotproduct import resolve_backend, resolve_mode, stream_length
+from .mode import resolve_mode
 
 __all__ = ["BipolarDotProductResult", "BipolarDotProductEngine"]
 
@@ -102,12 +98,6 @@ class BipolarDotProductEngine:
         ``"tff"`` or ``"mux"`` scaled adders for the reduction tree.
     seed:
         Seed for LFSR/MUX-select sources.
-    backend:
-        ``"packed"`` simulates with 64-bits-per-word kernels; ``"unpacked"``
-        keeps the one-byte-per-bit arrays.  Bit-identical counter values
-        either way.  ``None`` (the default) resolves to the ``REPRO_BACKEND``
-        environment variable, falling back to ``"packed"`` (see
-        :func:`repro.sc.dotproduct.resolve_backend`).
     mode:
         ``"counts"`` reduces the adder tree in the count domain (exact for
         both supported adders -- see the module docstring), ``"streams"``
@@ -127,7 +117,6 @@ class BipolarDotProductEngine:
     precision: int = 8
     adder: str = "tff"
     seed: int = 1
-    backend: Optional[str] = None
     mode: Optional[str] = None
     faults: Optional[FaultSpec] = None
     _mux_seed_counter: int = field(default=0, repr=False)
@@ -137,7 +126,6 @@ class BipolarDotProductEngine:
             raise ValueError("precision must be at least 2 bits")
         if self.adder not in ("tff", "mux"):
             raise ValueError(f"unknown adder {self.adder!r}")
-        self.backend = resolve_backend(self.backend)
         self.mode = resolve_mode(self.mode)
         if self.faults is not None and not isinstance(self.faults, FaultSpec):
             raise TypeError(
@@ -174,9 +162,7 @@ class BipolarDotProductEngine:
         """
         if not self._stream_faults_active:
             return prepared
-        return self.faults.plan().apply(
-            prepared, self.length, offset=offset, packed=self.backend == "packed"
-        )
+        return self.faults.plan().apply(prepared, self.length, offset=offset)
 
     @property
     def length(self) -> int:
@@ -245,15 +231,13 @@ class BipolarDotProductEngine:
     # computation
     # ------------------------------------------------------------------ #
     def prepare_inputs(self, values: np.ndarray) -> np.ndarray:
-        """Generate input streams in the active backend's representation.
+        """Generate the packed input streams: :meth:`input_words`.
 
         Mirrors :meth:`StochasticDotProductEngine.prepare_inputs`: the
-        returned array (uint8 bits or uint64 words on the last axis) is meant
-        to be passed to :meth:`dot_prepared`, possibly several times.
+        returned ``(..., taps, W)`` uint64 array is meant to be passed to
+        :meth:`dot_prepared`, possibly several times.
         """
-        if self.backend == "packed":
-            return self.input_words(values)
-        return self.input_streams(values)
+        return self.input_words(values)
 
     def dot(self, x: np.ndarray, weights: np.ndarray) -> BipolarDotProductResult:
         """Compute ``x . w`` for inputs ``x`` (shape ``(..., k)``) and weights ``(k,)``.
@@ -278,17 +262,8 @@ class BipolarDotProductEngine:
         # Reset the MUX seed counter so every evaluation instantiates the
         # same select sources (node i always gets seed 777*seed + i + 1).
         self._mux_seed_counter = 0
-        weights = np.asarray(weights, dtype=np.float64)
-        if self.backend == "packed":
-            return self._dot_packed(prepared, weights)
-        return self._dot_unpacked(prepared, weights)
-
-    def _dot_unpacked(
-        self, x_bits: np.ndarray, weights: np.ndarray
-    ) -> BipolarDotProductResult:
-        """Byte-per-bit evaluation (count or stream domain per :attr:`mode`)."""
-        w_bits = self.weight_streams(weights)
-        products = np.asarray(xnor_multiply(x_bits, w_bits))
+        w_words = self.weight_words(np.asarray(weights, dtype=np.float64))
+        products = packed_xnor(prepared, w_words, self.length)
         taps = products.shape[-2]
         depth = AdderTree().depth(taps)
         padded_taps = 1 << depth
@@ -298,39 +273,6 @@ class BipolarDotProductEngine:
             # halve integer counts level by level.  Odd tap counts are
             # padded with the *count* of the alternating bipolar-zero pad
             # stream -- exactly N/2 ones -- instead of the stream itself.
-            counts = self._tff_tree_counts(count_ones(products), depth, padded_taps)
-            return BipolarDotProductResult(
-                count=counts, length=self.length, tree_scale=1 << depth
-            )
-
-        # Pad the tap axis to a power of two with bipolar-zero (density 0.5)
-        # streams: an all-zeros pad would encode -1 and bias the sum.
-        if padded_taps != taps:
-            pad_shape = products.shape[:-2] + (padded_taps - taps, self.length)
-            zero_value = np.zeros(pad_shape, dtype=np.uint8)
-            zero_value[..., ::2] = 1  # alternating 0101... -> density exactly 0.5
-            products = np.concatenate([products, zero_value], axis=-2)
-
-        plan = AdderTree(self._adder_factory()).plan(padded_taps)
-        if self._use_count_mode:
-            counts = plan.masked_counts_bits(products)
-        else:
-            counts = count_ones(plan.reduce_bits(products))
-        return BipolarDotProductResult(
-            count=counts, length=self.length, tree_scale=1 << depth
-        )
-
-    def _dot_packed(
-        self, x_words: np.ndarray, weights: np.ndarray
-    ) -> BipolarDotProductResult:
-        """Packed-word evaluation, bit-identical to :meth:`_dot_unpacked`."""
-        w_words = self.weight_words(weights)
-        products = packed_xnor(x_words, w_words, self.length)
-        taps = products.shape[-2]
-        depth = AdderTree().depth(taps)
-        padded_taps = 1 << depth
-
-        if self._use_count_mode and self.adder == "tff":
             counts = self._tff_tree_counts(
                 packed_popcount(products), depth, padded_taps
             )
@@ -338,6 +280,8 @@ class BipolarDotProductEngine:
                 count=counts, length=self.length, tree_scale=1 << depth
             )
 
+        # Pad the tap axis to a power of two with bipolar-zero (density 0.5)
+        # streams: an all-zeros pad would encode -1 and bias the sum.
         if padded_taps != taps:
             pad = np.broadcast_to(
                 packed_alternating(self.length),

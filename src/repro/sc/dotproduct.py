@@ -15,11 +15,12 @@ Each dot product is an AND-multiplier per tap followed by a balanced tree of
 scaled adders; two counters convert the results to binary and a binary
 comparator implements the sign activation.
 
-This module provides both the raw bit-level kernel
-(:func:`stochastic_dot_product`) that operates on pre-generated bit arrays,
-and :class:`StochasticDotProductEngine`, which owns the number-generation
-configuration (the knob that distinguishes "this work" from the "old SC"
-baseline in Table 3).
+This module provides :class:`StochasticDotProductEngine`, which owns the
+number-generation configuration (the knob that distinguishes "this work" from
+the "old SC" baseline in Table 3), and the raw packed-word kernel
+:func:`stochastic_dot_product_packed` that operates on pre-generated streams.
+Every stream is stored 64 clock cycles per ``uint64`` word (see
+:mod:`repro.bitstream.packed`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from ..bitstream import stream_length
-from ..bitstream.backend import BACKENDS, resolve_backend, validate_backend
 from ..bitstream.packed import packed_popcount
 from ..faults.spec import FaultSpec
 from ..rng import (
@@ -41,19 +41,14 @@ from ..rng import (
     ramp_compare_packed,
 )
 from .elements.adders import AdderTree, MuxAdder, OrAdder, TffAdder, TreePlan
-from .elements.converters import count_ones, sign_from_counts
-from .elements.util import as_bits
+from .elements.converters import sign_from_counts
 from .mode import MODES, resolve_mode, validate_mode
 
 __all__ = [
-    "BACKENDS",
     "MODES",
-    "resolve_backend",
     "resolve_mode",
-    "validate_backend",
     "validate_mode",
     "split_weights",
-    "stochastic_dot_product",
     "stochastic_dot_product_packed",
     "DotProductResult",
     "PreparedWeights",
@@ -62,10 +57,9 @@ __all__ = [
     "old_sc_engine",
 ]
 
-# Backend selection lives in the shared representation layer
-# (repro.bitstream.backend) and mode selection in repro.sc.mode; both are
-# re-exported here because the engines are their primary consumers and
-# existing callers import them from this module.
+# Mode selection lives in repro.sc.mode; it is re-exported here because the
+# engines are its primary consumers and existing callers import it from
+# this module.
 
 
 def split_weights(weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -83,48 +77,21 @@ def split_weights(weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return w_pos, w_neg
 
 
-def stochastic_dot_product(
-    x_bits: np.ndarray,
-    w_bits: np.ndarray,
-    adder_factory: Callable[[], object] = TffAdder,
-) -> np.ndarray:
-    """Bit-level unipolar dot product of input streams with weight streams.
-
-    Parameters
-    ----------
-    x_bits:
-        Input bit array of shape ``(..., k, N)``.
-    w_bits:
-        Weight bit array broadcastable to ``x_bits`` (typically ``(k, N)``).
-    adder_factory:
-        Factory for the two-input scaled adder used at every tree node.
-
-    Returns
-    -------
-    counts:
-        Ones-count of the tree output, shape ``(...,)``.  The encoded value is
-        ``counts / N * 2**depth`` where ``depth = ceil(log2 k)``.
-    """
-    x_arr, _ = as_bits(x_bits)
-    w_arr, _ = as_bits(w_bits)
-    products = (x_arr & w_arr).astype(np.uint8)
-    tree = AdderTree(adder_factory)
-    summed = tree.reduce(products)
-    return count_ones(summed)
-
-
 def stochastic_dot_product_packed(
     x_words: np.ndarray,
     w_words: np.ndarray,
     n_bits: int,
     adder_factory: Callable[[], object] = TffAdder,
 ) -> np.ndarray:
-    """Packed-word counterpart of :func:`stochastic_dot_product`.
+    """Bit-level unipolar dot product of packed input and weight streams.
 
     ``x_words`` has shape ``(..., k, W)`` and ``w_words`` broadcasts to it,
     where ``W = ceil(n_bits / 64)`` uint64 words per stream (see
-    :mod:`repro.bitstream.packed`).  Produces bit-identical ones-counts to the
-    unpacked kernel while simulating 64 clock cycles per word operation.
+    :mod:`repro.bitstream.packed`).  Each tap is an AND multiplier, the taps
+    are summed by a balanced tree of ``adder_factory`` adders, and the
+    result is the ones-count of the tree output, shape ``(...,)``: the
+    encoded value is ``counts / n_bits * 2**depth`` with
+    ``depth = ceil(log2 k)``.
     """
     products = np.asarray(x_words) & np.asarray(w_words)
     tree = AdderTree(adder_factory)
@@ -164,10 +131,10 @@ class PreparedWeights:
     :meth:`StochasticDotProductEngine.prepare_weights` and applied to any
     number of input tiles via :meth:`counts`.  Weight streams carry a leading
     *filter* axis and a positive/negative axis -- ``(filters, 2, taps, W)``
-    packed words (or ``(..., N)`` bits) -- so one vectorized tree reduction
-    covers every ``(filter, sign)`` pair at once, and the positive and
-    negative dot products of the paper's split-weight trick are fused into a
-    single pass over shared input streams.
+    packed words -- so one vectorized tree reduction covers every
+    ``(filter, sign)`` pair at once, and the positive and negative dot
+    products of the paper's split-weight trick are fused into a single pass
+    over shared input streams.
 
     The tree plan's adders are instantiated filter-major (filter 0's positive
     tree, then its negative tree, then filter 1, ...), exactly the order the
@@ -189,10 +156,7 @@ class PreparedWeights:
         self.engine = engine
         self.filters, self.taps = weights.shape
         self.n_bits = engine.length
-        if engine.backend == "packed":
-            w_pos, w_neg = engine.weight_words(weights)
-        else:
-            w_pos, w_neg = engine.weight_streams(weights)
+        w_pos, w_neg = engine.weight_words(weights)
         #: Weight streams with the filter axis leading: ``(filters, 2, taps, .)``
         #: where index 0 of the second axis is the positive tree's streams.
         self.weight_streams = np.stack([w_pos, w_neg], axis=1)
@@ -214,15 +178,13 @@ class PreparedWeights:
     def _masked_weight_bank(self) -> np.ndarray:
         """Weight streams pre-ANDed with their lane's leaf ownership masks.
 
-        Shape ``(2 * filters, taps, W-or-N)`` (lane-major like the plan).
+        Shape ``(2 * filters, taps, W)`` (lane-major like the plan).
         Because the masks of one lane are disjoint across leaves, the lane's
         root stream is ``OR over taps of (input & masked_weight)`` and its
         count one popcount -- the MUX count-mode kernel.
         """
         if self._masked_weights is None:
-            masks = self.plan.leaf_masks(
-                self.n_bits, packed=self.engine.backend == "packed"
-            )
+            masks = self.plan.leaf_masks(self.n_bits, packed=True)
             flat = self.weight_streams.reshape(
                 2 * self.filters, self.taps, self.weight_streams.shape[-1]
             )
@@ -234,7 +196,7 @@ class PreparedWeights:
 
         ``prepared`` is the output of
         :meth:`StochasticDotProductEngine.prepare_inputs`, shape
-        ``(..., taps, W-or-N)``; returns ``(positive, negative)`` int64 count
+        ``(..., taps, W)``; returns ``(positive, negative)`` int64 count
         arrays of shape ``(..., filters)``, bit-identical to per-filter
         :meth:`~StochasticDotProductEngine.dot_prepared` calls.
 
@@ -251,7 +213,6 @@ class PreparedWeights:
                 f"prepared inputs must have {self.taps} taps on axis -2, "
                 f"got shape {x.shape}"
             )
-        packed = self.engine.backend == "packed"
         use_counts = self.engine._use_count_mode(self.plan)
         if use_counts and not self.plan.supports_count_reduction:
             # All-MUX count mode: accumulate the select-masked products
@@ -262,9 +223,7 @@ class PreparedWeights:
             )
             for t in range(self.taps):
                 acc |= x[..., t, :][..., np.newaxis, :] & masked_w[:, t, :]
-            flat_counts = (
-                packed_popcount(acc) if packed else acc.sum(axis=-1, dtype=np.int64)
-            )
+            flat_counts = packed_popcount(acc)
             stacked = flat_counts.reshape(
                 flat_counts.shape[:-1] + (self.filters, 2)
             )
@@ -278,19 +237,16 @@ class PreparedWeights:
             # the tap products once, then reduce integer counts level by
             # level (floor/ceil halving) -- provably bit-identical to the
             # stream-level tree and an order of magnitude less work.
-            leaf = packed_popcount(lanes) if packed else count_ones(lanes)
-            flat_counts = self.plan.reduce_counts(leaf)
-        elif packed:
-            flat_counts = packed_popcount(self.plan.reduce_packed(lanes, self.n_bits))
+            flat_counts = self.plan.reduce_counts(packed_popcount(lanes))
         else:
-            flat_counts = count_ones(self.plan.reduce_bits(lanes))
+            flat_counts = packed_popcount(self.plan.reduce_packed(lanes, self.n_bits))
         stacked = flat_counts.reshape(flat_counts.shape[:-1] + (self.filters, 2))
         return stacked[..., 0], stacked[..., 1]
 
     def __repr__(self) -> str:
         return (
             f"PreparedWeights(filters={self.filters}, taps={self.taps}, "
-            f"n_bits={self.n_bits}, backend={self.engine.backend!r})"
+            f"n_bits={self.n_bits}, mode={self.engine.mode!r})"
         )
 
 
@@ -312,13 +268,6 @@ class StochasticDotProductEngine:
         ``"lowdisc"`` (this work) or ``"lfsr"`` (old designs).
     seed:
         Seed for LFSR-based and MUX-select sources.
-    backend:
-        ``"packed"`` simulates with 64-bits-per-word kernels; ``"unpacked"``
-        keeps the one-byte-per-bit arrays.  Both backends are bit-order exact
-        -- they produce identical counter values for every configuration --
-        so the choice only affects speed and memory.  ``None`` (the default)
-        resolves to the ``REPRO_BACKEND`` environment variable, falling back
-        to ``"packed"`` (see :func:`resolve_backend`).
     mode:
         ``"counts"`` evaluates the adder tree in the count domain -- integer
         halving for TFF trees, cached select masks for MUX trees -- and
@@ -340,7 +289,7 @@ class StochasticDotProductEngine:
         whenever stream faults are active and an explicit ``mode="counts"``
         raises.  ``sng_stuck_cells`` additionally defects the LFSR of
         LFSR-based input SNGs.  Injection is seed-deterministic and
-        bit-identical across backends, tilings, and repeated calls.
+        bit-identical across tilings and repeated calls.
     """
 
     precision: int = 8
@@ -348,7 +297,6 @@ class StochasticDotProductEngine:
     input_generator: str = "ramp"
     weight_generator: str = "lowdisc"
     seed: int = 1
-    backend: Optional[str] = None
     mode: Optional[str] = None
     faults: Optional[FaultSpec] = None
     _mux_seed_counter: int = field(default=0, repr=False)
@@ -362,7 +310,6 @@ class StochasticDotProductEngine:
             raise ValueError(f"unknown input generator {self.input_generator!r}")
         if self.weight_generator not in ("lowdisc", "lfsr"):
             raise ValueError(f"unknown weight generator {self.weight_generator!r}")
-        self.backend = resolve_backend(self.backend)
         self.mode = resolve_mode(self.mode)
         if self.mode == "counts" and self.adder == "or":
             raise ValueError(
@@ -401,9 +348,7 @@ class StochasticDotProductEngine:
         """
         if not self._stream_faults_active:
             return prepared
-        return self.faults.plan().apply(
-            prepared, self.length, offset=offset, packed=self.backend == "packed"
-        )
+        return self.faults.plan().apply(prepared, self.length, offset=offset)
 
     def _use_count_mode(self, plan: TreePlan) -> bool:
         """Whether ``plan`` should reduce in the count domain under :attr:`mode`."""
@@ -475,26 +420,38 @@ class StochasticDotProductEngine:
         )
 
     def prepare_inputs(self, values: np.ndarray) -> np.ndarray:
-        """Generate input streams in the active backend's representation.
+        """Generate the packed input streams: :meth:`input_words`.
 
-        The returned array is meant to be passed to :meth:`dot_prepared`
-        (possibly many times, e.g. once per convolution kernel); its layout --
-        uint8 bits or uint64 words on the last axis -- depends on
-        :attr:`backend`, so treat it as opaque.
+        The returned ``(..., taps, W)`` uint64 array is meant to be passed to
+        :meth:`dot_prepared` or a :class:`PreparedWeights` bank (possibly
+        many times, e.g. once per convolution tile), after
+        :meth:`apply_faults` when the engine carries stream faults.
         """
-        if self.backend == "packed":
-            return self.input_words(values)
-        return self.input_streams(values)
+        return self.input_words(values)
 
     def dot_prepared(
         self, prepared: np.ndarray, weights: np.ndarray
     ) -> DotProductResult:
-        """Dot product of :meth:`prepare_inputs` output with fresh weight streams."""
-        if self.backend == "packed":
-            w_pos, w_neg = self.weight_words(weights)
-            return self.dot_from_packed(prepared, w_pos, w_neg)
-        w_pos, w_neg = self.weight_streams(weights)
-        return self.dot_from_streams(prepared, w_pos, w_neg)
+        """Dot product of :meth:`prepare_inputs` output with fresh weight streams.
+
+        Honours :attr:`mode`: the count-domain path never builds the tree's
+        stream tensors, with counter values bit-identical to the stream path.
+        """
+        x = np.asarray(prepared)
+        w_pos, w_neg = self.weight_words(weights)
+        taps = x.shape[-2]
+        # Both plans are instantiated through one shared factory before any
+        # reduction runs (positive tree first), so stateful factories
+        # (per-node MUX select seeds) enumerate their nodes in a fixed order.
+        tree = AdderTree(self._adder_factory())
+        plan_pos = tree.plan(taps)
+        plan_neg = tree.plan(taps)
+        return DotProductResult(
+            positive_count=self._plan_counts(x & w_pos, plan_pos),
+            negative_count=self._plan_counts(x & w_neg, plan_neg),
+            length=self.length,
+            tree_scale=plan_pos.tree_scale,
+        )
 
     def prepare_weights(self, weights: np.ndarray) -> PreparedWeights:
         """Generate the filter bank for a whole ``(filters, taps)`` kernel set.
@@ -584,87 +541,17 @@ class StochasticDotProductEngine:
         return self.dot_prepared(self.apply_faults(self.prepare_inputs(x)), weights)
 
     def _plan_counts(self, products: np.ndarray, plan: TreePlan) -> np.ndarray:
-        """Root ones-counts of ``(..., k, W-or-N)`` leaf products under :attr:`mode`."""
-        packed = self.backend == "packed"
+        """Root ones-counts of ``(..., k, W)`` leaf products under :attr:`mode`."""
         if self._use_count_mode(plan):
             if plan.supports_count_reduction:
-                leaf = packed_popcount(products) if packed else count_ones(products)
-                return plan.reduce_counts(leaf)
-            if packed:
-                return plan.masked_counts_packed(products, self.length)
-            return plan.masked_counts_bits(products)
-        if packed:
-            return packed_popcount(plan.reduce_packed(products, self.length))
-        return count_ones(plan.reduce_bits(products))
-
-    def dot_from_streams(
-        self,
-        x_bits: np.ndarray,
-        w_pos_bits: np.ndarray,
-        w_neg_bits: np.ndarray,
-    ) -> DotProductResult:
-        """Compute the dot product from pre-generated bit arrays.
-
-        This is the path used by the convolution driver, which generates the
-        input streams once per image and reuses them for all 32 kernels.
-        Honours :attr:`mode`: the count-domain path never builds the tree's
-        stream tensors, with counter values bit-identical to the stream path.
-        """
-        x_arr, _ = as_bits(x_bits)
-        wp_arr, _ = as_bits(w_pos_bits)
-        wn_arr, _ = as_bits(w_neg_bits)
-        taps = x_arr.shape[-2]
-        # Both plans are instantiated through one shared factory before any
-        # reduction runs -- the exact node enumeration (positive tree first)
-        # the historical back-to-back AdderTree.reduce() calls produced, so
-        # stateful factories (per-node MUX select seeds) stay bit-identical.
-        factory = self._adder_factory()
-        tree = AdderTree(factory)
-        plan_pos = tree.plan(taps)
-        plan_neg = tree.plan(taps)
-        pos = self._plan_counts((x_arr & wp_arr).astype(np.uint8), plan_pos)
-        neg = self._plan_counts((x_arr & wn_arr).astype(np.uint8), plan_neg)
-        return self._dot_result(pos, neg, taps)
-
-    def dot_from_packed(
-        self,
-        x_words: np.ndarray,
-        w_pos_words: np.ndarray,
-        w_neg_words: np.ndarray,
-    ) -> DotProductResult:
-        """Packed-word counterpart of :meth:`dot_from_streams`.
-
-        All arguments are uint64 word arrays (``(..., k, W)`` inputs, weight
-        arrays broadcastable to them) as produced by :meth:`input_words` and
-        :meth:`weight_words`; the counter values are bit-identical to the
-        unpacked path (and, per :attr:`mode`, across count/stream modes).
-        """
-        x_arr = np.asarray(x_words)
-        taps = x_arr.shape[-2]
-        factory = self._adder_factory()
-        tree = AdderTree(factory)
-        plan_pos = tree.plan(taps)
-        plan_neg = tree.plan(taps)
-        pos = self._plan_counts(x_arr & np.asarray(w_pos_words), plan_pos)
-        neg = self._plan_counts(x_arr & np.asarray(w_neg_words), plan_neg)
-        return self._dot_result(pos, neg, taps)
-
-    def _dot_result(
-        self, pos: np.ndarray, neg: np.ndarray, taps: int
-    ) -> DotProductResult:
-        """Assemble the result both backends share (single tree_scale rule)."""
-        return DotProductResult(
-            positive_count=pos,
-            negative_count=neg,
-            length=self.length,
-            tree_scale=1 << AdderTree().depth(taps),
-        )
+                return plan.reduce_counts(packed_popcount(products))
+            return plan.masked_counts_packed(products, self.length)
+        return packed_popcount(plan.reduce_packed(products, self.length))
 
 
 def new_sc_engine(
     precision: int,
     seed: int = 1,
-    backend: Optional[str] = None,
     mode: Optional[str] = None,
     faults: Optional[FaultSpec] = None,
 ) -> StochasticDotProductEngine:
@@ -675,7 +562,6 @@ def new_sc_engine(
         input_generator="ramp",
         weight_generator="lowdisc",
         seed=seed,
-        backend=backend,
         mode=mode,
         faults=faults,
     )
@@ -684,7 +570,6 @@ def new_sc_engine(
 def old_sc_engine(
     precision: int,
     seed: int = 1,
-    backend: Optional[str] = None,
     mode: Optional[str] = None,
     faults: Optional[FaultSpec] = None,
 ) -> StochasticDotProductEngine:
@@ -699,7 +584,6 @@ def old_sc_engine(
         input_generator="lfsr",
         weight_generator="lfsr",
         seed=seed,
-        backend=backend,
         mode=mode,
         faults=faults,
     )

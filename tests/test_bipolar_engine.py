@@ -1,6 +1,7 @@
 """Tests for the bipolar stochastic dot-product engine (the rejected alternative)."""
 
 import numpy as np
+import oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,15 +15,6 @@ class TestConstruction:
             BipolarDotProductEngine(precision=1)
         with pytest.raises(ValueError):
             BipolarDotProductEngine(adder="or")
-        with pytest.raises(ValueError):
-            BipolarDotProductEngine(backend="simd")
-
-    def test_backend_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert BipolarDotProductEngine().backend == "packed"
-        assert BipolarDotProductEngine(backend="unpacked").backend == "unpacked"
-        monkeypatch.setenv("REPRO_BACKEND", "unpacked")
-        assert BipolarDotProductEngine().backend == "unpacked"
 
     def test_length(self):
         assert BipolarDotProductEngine(precision=6).length == 64
@@ -138,12 +130,9 @@ class TestBackendEquivalence:
         rng = np.random.default_rng(precision * 100 + taps)
         x = rng.random((4, taps))
         w = rng.uniform(-1, 1, taps)
-        packed = BipolarDotProductEngine(
-            precision=precision, adder=adder, seed=7, backend="packed"
-        ).dot(x, w)
-        unpacked = BipolarDotProductEngine(
-            precision=precision, adder=adder, seed=7, backend="unpacked"
-        ).dot(x, w)
+        engine = BipolarDotProductEngine(precision=precision, adder=adder, seed=7)
+        packed = engine.dot(x, w)
+        unpacked = oracle.dot(engine, x, w)
         np.testing.assert_array_equal(packed.count, unpacked.count)
         np.testing.assert_array_equal(packed.sign, unpacked.sign)
         assert packed.tree_scale == unpacked.tree_scale
@@ -167,12 +156,12 @@ class TestBackendEquivalence:
         rng = np.random.default_rng(9)
         x = rng.random((3, 9))
         kernels = rng.uniform(-1, 1, (4, 9))
-        for backend in ("packed", "unpacked"):
-            engine = BipolarDotProductEngine(precision=5, backend=backend)
-            prepared = engine.prepare_inputs(x)
+        for impl in oracle.IMPLS:
+            engine = BipolarDotProductEngine(precision=5)
+            prepared = oracle.evaluate(impl, engine, "prepare_inputs", x)
             for kernel in kernels:
-                direct = engine.dot(x, kernel)
-                reused = engine.dot_prepared(prepared, kernel)
+                direct = oracle.evaluate(impl, engine, "dot", x, kernel)
+                reused = oracle.evaluate(impl, engine, "dot_prepared", prepared, kernel)
                 np.testing.assert_array_equal(direct.count, reused.count)
 
 

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import oracle
 import pytest
 
 from repro.cli import build_parser, main
@@ -20,6 +21,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table1", "--precisions", "1,4"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1", "--mode", "counts"],
+            ["table1", "--backend", "packed"],
+            ["table2", "--backend", "packed"],
+            ["accuracy", "--backend", "packed"],
+            ["faults", "--backend", "packed"],
+        ],
+    )
+    def test_removed_flags_rejected(self, argv):
+        # Packed words are the only representation, and Table 1 has no
+        # adder tree: neither knob exists any more.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
     def test_hardware_flags(self):
         args = build_parser().parse_args(["hardware", "--raw"])
         assert args.raw is True
@@ -33,13 +50,12 @@ class TestParser:
 
     def test_activity_flags(self):
         args = build_parser().parse_args(
-            ["activity", "--precision", "5", "--taps", "9", "--backend", "unpacked"]
+            ["activity", "--precision", "5", "--taps", "9"]
         )
         assert args.precision == 5 and args.taps == 9
-        assert args.backend == "unpacked"
         assert args.traces == 1
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["activity", "--backend", "simd"])
+            build_parser().parse_args(["activity", "--backend", "packed"])
 
     def test_activity_traces_flag(self):
         args = build_parser().parse_args(["activity", "--traces", "8"])
@@ -89,41 +105,25 @@ class TestCommands:
         assert "raw model" in capsys.readouterr().out
 
     def test_activity_command_backends_agree(self, capsys):
-        # The switching-activity simulation must report identical toggle
-        # totals on both simulator backends.
-        outputs = {}
-        for backend in ("packed", "unpacked"):
-            assert main(
-                ["activity", "--precision", "4", "--taps", "4", "--backend", backend]
-            ) == 0
-            out = capsys.readouterr().out
-            assert "total toggles" in out
-            assert f"backend={backend}" in out
-            outputs[backend] = [
-                line
-                for line in out.splitlines()
-                if ":" in line and "backend=" not in line
-            ]
-        assert outputs["packed"] == outputs["unpacked"]
+        # The switching-activity simulation must print exactly what the
+        # cycle-loop oracle prints for the same stimulus.
+        argv = ["activity", "--precision", "4", "--taps", "4"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "total toggles" in out
+        assert oracle.main(argv) == 0
+        assert capsys.readouterr().out == out
 
     def test_activity_batched_command_backends_agree(self, capsys):
-        # Batched multi-trace simulation: identical aggregate toggles on
-        # both backends (the unpacked one literally runs per-trace loops).
-        outputs = {}
-        for backend in ("packed", "unpacked"):
-            assert main(
-                ["activity", "--precision", "4", "--taps", "4",
-                 "--traces", "3", "--backend", backend]
-            ) == 0
-            out = capsys.readouterr().out
-            assert "x 3 traces (batched)" in out
-            assert "activity spread" in out
-            outputs[backend] = [
-                line
-                for line in out.splitlines()
-                if ":" in line and "backend=" not in line
-            ]
-        assert outputs["packed"] == outputs["unpacked"]
+        # Batched multi-trace simulation: identical output to the oracle,
+        # which literally runs per-trace cycle loops.
+        argv = ["activity", "--precision", "4", "--taps", "4", "--traces", "3"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "x 3 traces (batched)" in out
+        assert "activity spread" in out
+        assert oracle.main(argv) == 0
+        assert capsys.readouterr().out == out
 
     def test_hardware_measured_activity_command(self, capsys):
         assert main(
@@ -162,11 +162,11 @@ class TestFaultsCommand:
         args = build_parser().parse_args(
             ["faults", "--rates", "0,1e-3", "--precision", "6",
              "--images", "3", "--filters", "4", "--trials", "1",
-             "--backend", "unpacked", "--no-artifact"]
+             "--no-artifact"]
         )
         assert args.rates == (0.0, 1e-3)
         assert args.precision == 6 and args.images == 3
-        assert args.backend == "unpacked" and args.no_artifact
+        assert args.no_artifact
 
     def test_parser_rejects_bad_rates(self):
         with pytest.raises(SystemExit):

@@ -2,8 +2,9 @@
 
 ``mode="counts"`` must be *bit-identical* to the reference stream reduction
 for every configuration that supports it: unipolar split-weight engines with
-TFF or MUX adder trees (any generator, backend, tap count, tiling) and the
-bipolar XNOR engine (including its odd-tap alternating-stream padding).
+TFF or MUX adder trees (any generator, tap count, tiling, on packed words
+and on the byte-per-bit oracle) and the bipolar XNOR engine (including its
+odd-tap alternating-stream padding).
 These tests pin that contract, the mode-resolution precedence rules, the
 ``TreePlan`` mask machinery behind the MUX shortcut, and the stream-path
 edge-case fixes that rode along (empty batches, dtype-preserving count maps,
@@ -11,6 +12,7 @@ the sign-tie contract, bipolar input-range validation).
 """
 
 import numpy as np
+import oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -98,10 +100,10 @@ UNIPOLAR_GENERATORS = [
 
 
 @pytest.mark.parametrize("adder", ["tff", "mux"])
-@pytest.mark.parametrize("backend", ["packed", "unpacked"])
+@pytest.mark.parametrize("impl", oracle.IMPLS)
 @pytest.mark.parametrize("input_gen,weight_gen", UNIPOLAR_GENERATORS)
 @pytest.mark.parametrize("taps", [1, 2, 3, 7, 25])
-def test_unipolar_counts_bit_identical(adder, backend, input_gen, weight_gen, taps):
+def test_unipolar_counts_bit_identical(adder, impl, input_gen, weight_gen, taps):
     rng = np.random.default_rng(taps)
     x = rng.random((5, taps))
     w = rng.uniform(-1.0, 1.0, taps)
@@ -111,24 +113,29 @@ def test_unipolar_counts_bit_identical(adder, backend, input_gen, weight_gen, ta
         input_generator=input_gen,
         weight_generator=weight_gen,
         seed=11,
-        backend=backend,
     )
-    counted = StochasticDotProductEngine(mode="counts", **kwargs).dot(x, w)
-    streamed = StochasticDotProductEngine(mode="streams", **kwargs).dot(x, w)
+    counted = oracle.evaluate(
+        impl, StochasticDotProductEngine(mode="counts", **kwargs), "dot", x, w
+    )
+    streamed = oracle.evaluate(
+        impl, StochasticDotProductEngine(mode="streams", **kwargs), "dot", x, w
+    )
     np.testing.assert_array_equal(counted.positive_count, streamed.positive_count)
     np.testing.assert_array_equal(counted.negative_count, streamed.negative_count)
 
 
 @pytest.mark.parametrize("adder", ["tff", "mux"])
-@pytest.mark.parametrize("backend", ["packed", "unpacked"])
-def test_unipolar_filter_parallel_counts_bit_identical(adder, backend):
+@pytest.mark.parametrize("impl", oracle.IMPLS)
+def test_unipolar_filter_parallel_counts_bit_identical(adder, impl):
     rng = np.random.default_rng(3)
     x = rng.random((9, 25))
     kernels = rng.uniform(-1.0, 1.0, (6, 25))
-    kwargs = dict(precision=6, adder=adder, seed=5, backend=backend)
-    counted = StochasticDotProductEngine(mode="counts", **kwargs).dot_filters(x, kernels)
-    streamed = StochasticDotProductEngine(mode="streams", **kwargs).dot_filters(
-        x, kernels
+    kwargs = dict(precision=6, adder=adder, seed=5)
+    counted = oracle.evaluate(
+        impl, StochasticDotProductEngine(mode="counts", **kwargs), "dot_filters", x, kernels
+    )
+    streamed = oracle.evaluate(
+        impl, StochasticDotProductEngine(mode="streams", **kwargs), "dot_filters", x, kernels
     )
     np.testing.assert_array_equal(counted.positive_count, streamed.positive_count)
     np.testing.assert_array_equal(counted.negative_count, streamed.negative_count)
@@ -157,7 +164,7 @@ def test_mux_select_periodicity_across_repeated_calls():
     w = rng.uniform(-1.0, 1.0, 10)
     engines = {
         mode: StochasticDotProductEngine(
-            precision=5, adder="mux", seed=21, backend="packed", mode=mode
+            precision=5, adder="mux", seed=21, mode=mode
         )
         for mode in ("counts", "streams")
     }
@@ -179,7 +186,7 @@ def test_conv_counts_mode_tiling_bit_identical(adder, tile_patches):
         layer = StochasticConv2D(
             kernels,
             engine=StochasticDotProductEngine(
-                precision=5, adder=adder, seed=4, backend="packed", mode=mode
+                precision=5, adder=adder, seed=4, mode=mode
             ),
             padding=1,
             tile_patches=tile_patches,
@@ -200,16 +207,20 @@ def test_conv_counts_mode_tiling_bit_identical(adder, tile_patches):
 
 
 @pytest.mark.parametrize("adder", ["tff", "mux"])
-@pytest.mark.parametrize("backend", ["packed", "unpacked"])
+@pytest.mark.parametrize("impl", oracle.IMPLS)
 @pytest.mark.parametrize("taps", [1, 2, 3, 5, 9, 25, 32])
-def test_bipolar_counts_bit_identical(adder, backend, taps):
+def test_bipolar_counts_bit_identical(adder, impl, taps):
     """Covers power-of-two, odd and single tap counts (padding edge cases)."""
     rng = np.random.default_rng(taps + 100)
     x = rng.uniform(-1.0, 1.0, (6, taps))
     w = rng.uniform(-1.0, 1.0, taps)
-    kwargs = dict(precision=6, adder=adder, seed=9, backend=backend)
-    counted = BipolarDotProductEngine(mode="counts", **kwargs).dot(x, w)
-    streamed = BipolarDotProductEngine(mode="streams", **kwargs).dot(x, w)
+    kwargs = dict(precision=6, adder=adder, seed=9)
+    counted = oracle.evaluate(
+        impl, BipolarDotProductEngine(mode="counts", **kwargs), "dot", x, w
+    )
+    streamed = oracle.evaluate(
+        impl, BipolarDotProductEngine(mode="streams", **kwargs), "dot", x, w
+    )
     np.testing.assert_array_equal(counted.count, streamed.count)
     np.testing.assert_array_equal(counted.sign, streamed.sign)
     np.testing.assert_array_equal(counted.value, streamed.value)
@@ -235,16 +246,20 @@ def test_bipolar_auto_mode_matches_explicit_counts():
     taps=st.integers(min_value=1, max_value=12),
     precision=st.integers(min_value=3, max_value=7),
     adder=st.sampled_from(["tff", "mux"]),
-    backend=st.sampled_from(["packed", "unpacked"]),
+    impl=st.sampled_from(oracle.IMPLS),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_unipolar_counts_property(taps, precision, adder, backend, seed):
+def test_unipolar_counts_property(taps, precision, adder, impl, seed):
     rng = np.random.default_rng(seed)
     x = rng.random((3, taps))
     w = rng.uniform(-1.0, 1.0, taps)
-    kwargs = dict(precision=precision, adder=adder, seed=seed, backend=backend)
-    counted = StochasticDotProductEngine(mode="counts", **kwargs).dot(x, w)
-    streamed = StochasticDotProductEngine(mode="streams", **kwargs).dot(x, w)
+    kwargs = dict(precision=precision, adder=adder, seed=seed)
+    counted = oracle.evaluate(
+        impl, StochasticDotProductEngine(mode="counts", **kwargs), "dot", x, w
+    )
+    streamed = oracle.evaluate(
+        impl, StochasticDotProductEngine(mode="streams", **kwargs), "dot", x, w
+    )
     np.testing.assert_array_equal(counted.positive_count, streamed.positive_count)
     np.testing.assert_array_equal(counted.negative_count, streamed.negative_count)
 
@@ -254,16 +269,20 @@ def test_unipolar_counts_property(taps, precision, adder, backend, seed):
     taps=st.integers(min_value=1, max_value=12),
     precision=st.integers(min_value=3, max_value=7),
     adder=st.sampled_from(["tff", "mux"]),
-    backend=st.sampled_from(["packed", "unpacked"]),
+    impl=st.sampled_from(oracle.IMPLS),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_bipolar_counts_property(taps, precision, adder, backend, seed):
+def test_bipolar_counts_property(taps, precision, adder, impl, seed):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, (3, taps))
     w = rng.uniform(-1.0, 1.0, taps)
-    kwargs = dict(precision=precision, adder=adder, seed=seed, backend=backend)
-    counted = BipolarDotProductEngine(mode="counts", **kwargs).dot(x, w)
-    streamed = BipolarDotProductEngine(mode="streams", **kwargs).dot(x, w)
+    kwargs = dict(precision=precision, adder=adder, seed=seed)
+    counted = oracle.evaluate(
+        impl, BipolarDotProductEngine(mode="counts", **kwargs), "dot", x, w
+    )
+    streamed = oracle.evaluate(
+        impl, BipolarDotProductEngine(mode="streams", **kwargs), "dot", x, w
+    )
     np.testing.assert_array_equal(counted.count, streamed.count)
 
 
@@ -394,16 +413,16 @@ def test_unipolar_conv_sign_tie_resolves_to_zero():
     assert np.all(result.sign == 0)
 
 
-@pytest.mark.parametrize("backend", ["packed", "unpacked"])
-def test_bipolar_rejects_out_of_range_inputs(backend):
-    engine = BipolarDotProductEngine(precision=4, backend=backend)
+@pytest.mark.parametrize("impl", oracle.IMPLS)
+def test_bipolar_rejects_out_of_range_inputs(impl):
+    engine = BipolarDotProductEngine(precision=4)
     w = np.full(4, 0.5)
     with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-        engine.dot(np.array([[0.0, 0.5, 1.5, -0.5]]), w)
+        oracle.evaluate(impl, engine, "dot", np.array([[0.0, 0.5, 1.5, -0.5]]), w)
     with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-        engine.dot(np.array([[0.0, 0.5, -1.5, -0.5]]), w)
+        oracle.evaluate(impl, engine, "dot", np.array([[0.0, 0.5, -1.5, -0.5]]), w)
     # Exact boundary values stay legal.
-    result = engine.dot(np.array([[1.0, -1.0, 0.0, 1.0]]), w)
+    result = oracle.evaluate(impl, engine, "dot", np.array([[1.0, -1.0, 0.0, 1.0]]), w)
     assert result.count.shape == (1,)
 
 
@@ -416,20 +435,8 @@ def test_table2_counts_mode_bit_identical():
     from repro.eval.table2 import ADDER_CONFIGS, adder_mse
 
     for config in ADDER_CONFIGS:
-        for backend in ("packed", "unpacked"):
-            assert adder_mse(config, 4, backend=backend, mode="counts") == adder_mse(
-                config, 4, backend=backend, mode="streams"
-            )
-
-
-def test_table1_accepts_mode():
-    from repro.eval.table1 import multiplier_mse
-
-    assert multiplier_mse("low_discrepancy", 4, mode="counts") == multiplier_mse(
-        "low_discrepancy", 4, mode="streams"
-    )
-    with pytest.raises(ValueError, match="unknown mode"):
-        multiplier_mse("low_discrepancy", 4, mode="bogus")
+        for mse in (adder_mse, oracle.adder_mse):
+            assert mse(config, 4, mode="counts") == mse(config, 4, mode="streams")
 
 
 def test_accuracy_config_resolves_mode(monkeypatch):

@@ -1,15 +1,17 @@
 """Tests for the stochastic dot-product engine."""
 
 import numpy as np
+import oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bitstream import pack_bits
 from repro.sc import (
     StochasticDotProductEngine,
     new_sc_engine,
     old_sc_engine,
     split_weights,
-    stochastic_dot_product,
+    stochastic_dot_product_packed,
 )
 from repro.sc.elements.adders import TffAdder
 
@@ -44,15 +46,21 @@ class TestStochasticDotProduct:
         n = 32
         x_bits = np.ones((4, n), dtype=np.uint8)
         w_bits = np.ones((4, n), dtype=np.uint8)
-        counts = stochastic_dot_product(x_bits, w_bits, TffAdder)
+        counts = stochastic_dot_product_packed(
+            pack_bits(x_bits), pack_bits(w_bits), n, TffAdder
+        )
         assert counts == n
+        assert oracle.stochastic_dot_product(x_bits, w_bits, TffAdder) == n
 
     def test_batched_shape(self):
         rng = np.random.default_rng(0)
         x_bits = rng.integers(0, 2, size=(3, 7, 9, 16)).astype(np.uint8)
         w_bits = rng.integers(0, 2, size=(9, 16)).astype(np.uint8)
-        counts = stochastic_dot_product(x_bits, w_bits)
+        counts = stochastic_dot_product_packed(pack_bits(x_bits), pack_bits(w_bits), 16)
         assert counts.shape == (3, 7)
+        np.testing.assert_array_equal(
+            counts, oracle.stochastic_dot_product(x_bits, w_bits)
+        )
 
 
 class TestEngineConfiguration:

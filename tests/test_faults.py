@@ -1,16 +1,18 @@
 """Tests for the deterministic fault-injection subsystem (:mod:`repro.faults`).
 
 Covers the mask generator's statistics and coordinate determinism, the
-``((w | stuck1) & ~stuck0) ^ flips`` composition contract, backend/tiling
-bit-identity of faulted engines and convolutions, the mode interaction
-(stream faults force stream-domain evaluation), stream injection helpers,
-netlist stuck-at faults on both simulation backends, stuck SNG register
-cells, the matched binary-word flip baseline, and the degradation sweep.
+``((w | stuck1) & ~stuck0) ^ flips`` composition contract, tiling
+bit-identity of faulted engines and convolutions against the byte-per-bit
+oracle (``tests/oracle.py``), the mode interaction (stream faults force
+stream-domain evaluation), stream injection helpers, netlist stuck-at faults
+on the simulator and its cycle-loop oracle, stuck SNG register cells, the
+matched binary-word flip baseline, and the degradation sweep.
 """
 
 import dataclasses
 
 import numpy as np
+import oracle
 import pytest
 
 from repro.bitstream import Bitstream, PackedBitstream
@@ -146,25 +148,29 @@ class TestFaultSpec:
                          stuck_one_rate=0.02, burst_rate=0.01, seed=11)
         bits = np.random.default_rng(1).integers(0, 2, (4, 5, 200),
                                                  dtype=np.int64).astype(np.uint8)
-        packed = spec.plan().apply(pack_bits(bits), 200, packed=True)
-        unpacked = spec.plan().apply(bits, 200, packed=False)
+        packed = spec.plan().apply(pack_bits(bits), 200)
+        unpacked = oracle.apply_fault_plan(spec.plan(), bits)
         assert np.array_equal(unpack_bits(packed, 200), unpacked)
 
     def test_apply_is_offset_composable(self):
         spec = FaultSpec(flip_rate=0.1, seed=3)
         bits = np.random.default_rng(2).integers(0, 2, (6, 2, 100),
                                                  dtype=np.int64).astype(np.uint8)
-        whole = spec.plan().apply(bits, 100, packed=False)
-        head = spec.plan().apply(bits[:4], 100, packed=False)
-        tail = spec.plan().apply(bits[4:], 100, offset=4, packed=False)
+        words = pack_bits(bits)
+        whole = spec.plan().apply(words, 100)
+        head = spec.plan().apply(words[:4], 100)
+        tail = spec.plan().apply(words[4:], 100, offset=4)
         assert np.array_equal(whole, np.concatenate([head, tail], axis=0))
+        assert np.array_equal(
+            unpack_bits(whole, 100), oracle.apply_fault_plan(spec.plan(), bits)
+        )
 
     def test_empty_apply_is_noop(self):
         plan = FaultSpec(flip_rate=0.5).plan()
         empty = np.zeros((0, 3, 2), dtype=np.uint64)
         assert plan.apply(empty, 100).shape == empty.shape
         zero_bits = np.zeros((2, 3, 0), dtype=np.uint8)
-        assert plan.apply(zero_bits, 0, packed=False).shape == zero_bits.shape
+        assert oracle.apply_fault_plan(plan, zero_bits).shape == zero_bits.shape
 
     def test_plan_is_frozen_dataclass(self):
         plan = FaultSpec(flip_rate=0.5).plan()
@@ -218,9 +224,9 @@ class TestEngineFaults:
     def test_backends_bit_identical_under_faults(self):
         spec = FaultSpec(flip_rate=0.02, stuck_one_rate=0.01, seed=9)
         results = {}
-        for backend in ("packed", "unpacked"):
-            engine = new_sc_engine(precision=6, backend=backend, faults=spec)
-            results[backend] = engine.dot(self.x, self.w)
+        for impl in oracle.IMPLS:
+            engine = new_sc_engine(precision=6, faults=spec)
+            results[impl] = oracle.evaluate(impl, engine, "dot", self.x, self.w)
         assert np.array_equal(
             results["packed"].positive_count, results["unpacked"].positive_count
         )
@@ -271,10 +277,9 @@ class TestEngineFaults:
         weights = self.rng.uniform(-1, 1, 5)
         spec = FaultSpec(flip_rate=0.05, seed=4)
         counts = {}
-        for backend in ("packed", "unpacked"):
-            engine = BipolarDotProductEngine(precision=6, backend=backend,
-                                             faults=spec)
-            counts[backend] = engine.dot(values, weights).count
+        for impl in oracle.IMPLS:
+            engine = BipolarDotProductEngine(precision=6, faults=spec)
+            counts[impl] = oracle.evaluate(impl, engine, "dot", values, weights).count
         assert np.array_equal(counts["packed"], counts["unpacked"])
         clean = BipolarDotProductEngine(precision=6).dot(values, weights)
         assert not np.array_equal(clean.count, counts["packed"])
@@ -286,9 +291,10 @@ class TestEngineFaults:
         weights = self.rng.uniform(-1, 1, 9)
         spec = FaultSpec(sng_stuck_cells=((0, 1), (3, 0)))
         counts = {}
-        for backend in ("packed", "unpacked"):
-            engine = old_sc_engine(precision=6, backend=backend, faults=spec)
-            counts[backend] = engine.dot(values, weights).positive_count
+        for impl in oracle.IMPLS:
+            engine = old_sc_engine(precision=6, faults=spec)
+            result = oracle.evaluate(impl, engine, "dot", values, weights)
+            counts[impl] = result.positive_count
         assert np.array_equal(counts["packed"], counts["unpacked"])
         clean = old_sc_engine(precision=6).dot(values, weights)
         assert not np.array_equal(clean.positive_count, counts["packed"])
@@ -301,12 +307,12 @@ class TestConvolutionFaults:
         kernels = rng.uniform(-1, 1, (3, 3, 3))
         spec = FaultSpec(flip_rate=0.02, burst_rate=0.005, seed=13)
         signs = []
-        for backend in ("packed", "unpacked"):
+        for impl in oracle.IMPLS:
             for tile in (None, 7, 13):
-                engine = new_sc_engine(precision=6, backend=backend, faults=spec)
+                engine = new_sc_engine(precision=6, faults=spec)
                 layer = StochasticConv2D(kernels, engine=engine, padding=1,
                                          tile_patches=tile)
-                result = layer.forward(images)
+                result = oracle.evaluate(impl, layer, "forward", images)
                 signs.append((result.positive_count, result.negative_count))
         first_pos, first_neg = signs[0]
         for pos, neg in signs[1:]:
@@ -333,10 +339,10 @@ class TestNetlistFaults:
             "a": np.ones(32, dtype=np.uint8),
             "b": np.zeros(32, dtype=np.uint8),
         }
-        for backend in ("packed", "unpacked"):
-            result = simulate(net, stim, backend=backend, faults={"c": 1})
+        for sim in (simulate, oracle.simulate):
+            result = sim(net, stim, faults={"c": 1})
             assert result.waveforms["c"].all()
-        clean = simulate(net, stim, backend="packed")
+        clean = simulate(net, stim)
         assert not clean.waveforms["c"].any()
 
     def test_unknown_net_rejected(self):
@@ -354,12 +360,12 @@ class TestNetlistFaults:
         }
         victim = net.instances[len(net.instances) // 3].outputs[0]
         faults = NetlistFaults({victim: 0})
-        packed = simulate(net, stim, backend="packed", faults=faults)
-        unpacked = simulate(net, stim, backend="unpacked", faults=faults)
+        packed = simulate(net, stim, faults=faults)
+        unpacked = oracle.simulate(net, stim, faults=faults)
         for out in net.primary_outputs:
             assert np.array_equal(packed.waveforms[out], unpacked.waveforms[out])
         assert packed.total_toggles() == unpacked.total_toggles()
-        clean = simulate(net, stim, backend="packed")
+        clean = simulate(net, stim)
         assert any(
             not np.array_equal(packed.waveforms[out], clean.waveforms[out])
             for out in net.primary_outputs
@@ -372,8 +378,8 @@ class TestNetlistFaults:
             name: rng.integers(0, 2, (3, 40), dtype=np.int64).astype(np.uint8)
             for name in net.primary_inputs
         }
-        for backend in ("packed", "unpacked"):
-            result = simulate_batch(net, stim, backend=backend, faults={"c": 1})
+        for sim in (simulate_batch, oracle.simulate_batch):
+            result = sim(net, stim, faults={"c": 1})
             assert result.waveforms["c"].all()
         empty = {name: np.zeros((0, 16), dtype=np.uint8)
                  for name in net.primary_inputs}

@@ -5,11 +5,13 @@ The seed semantics are the historical per-filter loop: one
 test here asserts that the vectorized paths that replaced it -- the
 :class:`~repro.sc.dotproduct.PreparedWeights` filter bank, the count-domain
 TFF shortcut, and tile-streamed :class:`~repro.sc.convolution.StochasticConv2D`
-execution -- are *bit-identical* to that loop on both backends, for every
-adder type, including tile sizes that do not divide the patch count.
+execution -- are *bit-identical* to that loop, on packed words and on the
+byte-per-bit oracle (``tests/oracle.py``), for every adder type, including
+tile sizes that do not divide the patch count.
 """
 
 import numpy as np
+import oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,63 +23,60 @@ from repro.sc.dotproduct import PreparedWeights, StochasticDotProductEngine
 from repro.sc.elements.adders import AdderTree, MuxAdder, TffAdder, TreePlan
 
 
-def per_filter_reference(engine, prepared, kernels):
+def per_filter_reference(impl, engine, x, kernels):
     """The seed path: one dot_prepared call per kernel, counts stacked last."""
+    prepared = oracle.evaluate(impl, engine, "prepare_inputs", x)
     lead = np.asarray(prepared).shape[:-2]
     pos = np.empty(lead + (kernels.shape[0],), dtype=np.int64)
     neg = np.empty_like(pos)
     for f in range(kernels.shape[0]):
-        result = engine.dot_prepared(prepared, kernels[f])
+        result = oracle.evaluate(impl, engine, "dot_prepared", prepared, kernels[f])
         pos[..., f] = result.positive_count
         neg[..., f] = result.negative_count
     return pos, neg
 
 
-def make_engine(adder, backend, precision=5):
-    return StochasticDotProductEngine(
-        precision=precision, adder=adder, backend=backend, seed=3
-    )
+def make_engine(adder, precision=5):
+    return StochasticDotProductEngine(precision=precision, adder=adder, seed=3)
 
 
 class TestFilterBankEquivalence:
     @pytest.mark.parametrize("adder", ["tff", "mux", "or"])
-    @pytest.mark.parametrize("backend", ["packed", "unpacked"])
-    def test_bank_matches_per_filter_loop(self, adder, backend):
+    @pytest.mark.parametrize("impl", oracle.IMPLS)
+    def test_bank_matches_per_filter_loop(self, adder, impl):
         rng = np.random.default_rng(1)
         x = rng.random((2, 9, 13))
         kernels = rng.uniform(-1, 1, (6, 13))
-        reference_engine = make_engine(adder, backend)
-        bank_engine = make_engine(adder, backend)
-        pos_ref, neg_ref = per_filter_reference(
-            reference_engine, reference_engine.prepare_inputs(x), kernels
-        )
-        result = bank_engine.dot_filters(x, kernels)
+        reference_engine = make_engine(adder)
+        bank_engine = make_engine(adder)
+        pos_ref, neg_ref = per_filter_reference(impl, reference_engine, x, kernels)
+        result = oracle.evaluate(impl, bank_engine, "dot_filters", x, kernels)
         np.testing.assert_array_equal(result.positive_count, pos_ref)
         np.testing.assert_array_equal(result.negative_count, neg_ref)
         # Stateful factories must have advanced identically, so the *next*
         # evaluation on each engine stays in lockstep too (free-running MUX
         # select sources).
         assert bank_engine._mux_seed_counter == reference_engine._mux_seed_counter
-        pos2, neg2 = per_filter_reference(
-            reference_engine, reference_engine.prepare_inputs(x), kernels
-        )
-        again = bank_engine.dot_filters(x, kernels)
+        pos2, neg2 = per_filter_reference(impl, reference_engine, x, kernels)
+        again = oracle.evaluate(impl, bank_engine, "dot_filters", x, kernels)
         np.testing.assert_array_equal(again.positive_count, pos2)
         np.testing.assert_array_equal(again.negative_count, neg2)
 
-    @pytest.mark.parametrize("backend", ["packed", "unpacked"])
-    def test_bank_reuse_across_tiles_matches_untiled(self, backend):
+    @pytest.mark.parametrize("impl", oracle.IMPLS)
+    def test_bank_reuse_across_tiles_matches_untiled(self, impl):
         rng = np.random.default_rng(2)
         x = rng.random((11, 9))
         kernels = rng.uniform(-1, 1, (4, 9))
-        engine = make_engine("mux", backend)
-        bank = engine.prepare_weights(kernels)
-        whole_pos, whole_neg = bank.counts(engine.prepare_inputs(x))
+        engine = make_engine("mux")
+        bank = oracle.evaluate(impl, engine, "prepare_weights", kernels)
+        whole_pos, whole_neg = bank.counts(
+            oracle.evaluate(impl, engine, "prepare_inputs", x)
+        )
         tiled_pos = np.empty_like(whole_pos)
         tiled_neg = np.empty_like(whole_neg)
         for start in range(0, x.shape[0], 4):  # 4 does not divide 11
             tile = x[start : start + 4]
-            p, n = bank.counts(engine.prepare_inputs(tile))
+            p, n = bank.counts(oracle.evaluate(impl, engine, "prepare_inputs", tile))
             tiled_pos[start : start + 4] = p
             tiled_neg[start : start + 4] = n
         np.testing.assert_array_equal(tiled_pos, whole_pos)
@@ -85,7 +84,7 @@ class TestFilterBankEquivalence:
 
     def test_tree_scale_matches_dot_prepared(self):
         rng = np.random.default_rng(3)
-        engine = make_engine("tff", "packed")
+        engine = make_engine("tff")
         kernels = rng.uniform(-1, 1, (3, 10))
         result = engine.dot_filters(rng.random((4, 10)), kernels)
         single = engine.dot(rng.random((4, 10)), kernels[0])
@@ -93,7 +92,7 @@ class TestFilterBankEquivalence:
         assert result.length == single.length
 
     def test_bank_validation(self):
-        engine = make_engine("tff", "packed")
+        engine = make_engine("tff")
         with pytest.raises(ValueError):
             engine.prepare_weights(np.zeros(5))  # not 2-D
         with pytest.raises(ValueError):
@@ -101,7 +100,7 @@ class TestFilterBankEquivalence:
         bank = engine.prepare_weights(np.zeros((2, 5)))
         with pytest.raises(ValueError):
             bank.counts(engine.prepare_inputs(np.zeros((3, 4))))  # tap mismatch
-        other = make_engine("tff", "packed")
+        other = make_engine("tff")
         with pytest.raises(ValueError):
             other.dot_filters_prepared(other.prepare_inputs(np.zeros((3, 5))), bank)
         with pytest.raises(ValueError):
@@ -114,19 +113,17 @@ class TestFilterBankEquivalence:
         taps=st.integers(min_value=1, max_value=12),
         filters=st.integers(min_value=1, max_value=5),
         adder=st.sampled_from(["tff", "mux", "or"]),
-        backend=st.sampled_from(["packed", "unpacked"]),
+        impl=st.sampled_from(oracle.IMPLS),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
-    def test_hypothesis_random_kernels(self, taps, filters, adder, backend, seed):
+    def test_hypothesis_random_kernels(self, taps, filters, adder, impl, seed):
         rng = np.random.default_rng(seed)
         x = rng.random((3, taps))
         kernels = rng.uniform(-1, 1, (filters, taps))
-        reference_engine = make_engine(adder, backend, precision=4)
-        bank_engine = make_engine(adder, backend, precision=4)
-        pos_ref, neg_ref = per_filter_reference(
-            reference_engine, reference_engine.prepare_inputs(x), kernels
-        )
-        result = bank_engine.dot_filters(x, kernels)
+        reference_engine = make_engine(adder, precision=4)
+        bank_engine = make_engine(adder, precision=4)
+        pos_ref, neg_ref = per_filter_reference(impl, reference_engine, x, kernels)
+        result = oracle.evaluate(impl, bank_engine, "dot_filters", x, kernels)
         np.testing.assert_array_equal(result.positive_count, pos_ref)
         np.testing.assert_array_equal(result.negative_count, neg_ref)
 
@@ -165,18 +162,26 @@ class TestCountDomainShortcut:
 
 
 class TestTiledConvolution:
-    @pytest.mark.parametrize("backend", ["packed", "unpacked"])
+    @pytest.mark.parametrize("impl", oracle.IMPLS)
     @pytest.mark.parametrize("tile", [1, 3, 7, 50, None])
-    def test_tiling_is_bit_identical(self, backend, tile):
+    def test_tiling_is_bit_identical(self, impl, tile):
         rng = np.random.default_rng(5)
         images = rng.random((2, 6, 6))
         kernels = rng.uniform(-1, 1, (3, 3, 3))
-        untiled = StochasticConv2D(
-            kernels, engine=make_engine("tff", backend), padding=1
-        ).forward(images)
-        tiled = StochasticConv2D(
-            kernels, engine=make_engine("tff", backend), padding=1, tile_patches=tile
-        ).forward(images)
+        untiled = oracle.evaluate(
+            impl,
+            StochasticConv2D(kernels, engine=make_engine("tff"), padding=1),
+            "forward",
+            images,
+        )
+        tiled = oracle.evaluate(
+            impl,
+            StochasticConv2D(
+                kernels, engine=make_engine("tff"), padding=1, tile_patches=tile
+            ),
+            "forward",
+            images,
+        )
         np.testing.assert_array_equal(tiled.positive_count, untiled.positive_count)
         np.testing.assert_array_equal(tiled.negative_count, untiled.negative_count)
         np.testing.assert_array_equal(tiled.sign, untiled.sign)
@@ -193,11 +198,11 @@ class TestTiledConvolution:
         images = rng.random((1, 5, 5))
         kernels = rng.uniform(-1, 1, (2, 3, 3))
         untiled = StochasticConv2D(
-            kernels, engine=make_engine(adder, "packed", precision=4), padding=1
+            kernels, engine=make_engine(adder, precision=4), padding=1
         ).forward(images)
         tiled = StochasticConv2D(
             kernels,
-            engine=make_engine(adder, "packed", precision=4),
+            engine=make_engine(adder, precision=4),
             padding=1,
             tile_patches=tile,
         ).forward(images)
@@ -229,7 +234,7 @@ class TestHybridAndEmulatorTiling:
         windows = rng.random((12, 9))
         kernels = rng.uniform(-1, 1, (3, 9))
         for adder in ("tff", "mux"):
-            reference_engine = make_engine(adder, "packed")
+            reference_engine = make_engine(adder)
             x_streams = reference_engine.prepare_inputs(windows)
             residuals = []
             from repro.bitstream import quantize_unipolar
@@ -247,7 +252,7 @@ class TestHybridAndEmulatorTiling:
                 )
             expected = np.concatenate([r.ravel() for r in residuals])
 
-            emulator = CalibratedSCEmulator(make_engine(adder, "packed"))
+            emulator = CalibratedSCEmulator(make_engine(adder))
             model = emulator.calibrate(windows, kernels)
             np.testing.assert_array_equal(model.residuals, expected)
 
@@ -255,11 +260,11 @@ class TestHybridAndEmulatorTiling:
         rng = np.random.default_rng(7)
         windows = rng.random((10, 9))
         kernels = rng.uniform(-1, 1, (2, 9))
-        untiled = CalibratedSCEmulator(make_engine("tff", "packed")).calibrate(
+        untiled = CalibratedSCEmulator(make_engine("tff")).calibrate(
             windows, kernels
         )
         tiled = CalibratedSCEmulator(
-            make_engine("tff", "packed"), tile_patches=3
+            make_engine("tff"), tile_patches=3
         ).calibrate(windows, kernels)
         np.testing.assert_array_equal(tiled.residuals, untiled.residuals)
         assert tiled.bias == untiled.bias
@@ -271,11 +276,11 @@ class TestHybridAndEmulatorTiling:
         model = build_lenet5_small(seed=0, image_size=8, filters1=2)
         frozen = quantize_and_freeze(model, precision=4)
         untiled = HybridStochasticBinaryNetwork(
-            frozen, engine=make_engine("tff", "packed", precision=4)
+            frozen, engine=make_engine("tff", precision=4)
         )
         tiled = HybridStochasticBinaryNetwork(
             frozen,
-            engine=make_engine("tff", "packed", precision=4),
+            engine=make_engine("tff", precision=4),
             tile_patches=13,
         )
         np.testing.assert_array_equal(

@@ -1,6 +1,7 @@
 """Tests for the hybrid stochastic-binary pipeline: acquisition, emulation, network."""
 
 import numpy as np
+import oracle
 import pytest
 
 from repro.datasets import SyntheticDigits
@@ -20,6 +21,11 @@ class TestSensorFrontEnd:
 
     def test_stream_length(self):
         assert SensorFrontEnd(precision=6).stream_length == 64
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_empty_batch_acquire(self, sigma):
+        empty = np.zeros((0, 4, 4))
+        assert SensorFrontEnd(noise_sigma=sigma).acquire(empty).shape == (0, 4, 4)
 
     def test_noise_free_acquire_is_identity(self):
         images = np.random.default_rng(0).random((2, 4, 4))
@@ -158,8 +164,10 @@ class TestMeasureActivity:
         rng = np.random.default_rng(2)
         windows = rng.random((3, 4))
         weights = rng.uniform(-1.0, 1.0, 4)
-        packed = emulator.measure_activity(windows, weights, backend="packed")
-        unpacked = emulator.measure_activity(windows, weights, backend="unpacked")
+        packed = emulator.measure_activity(windows, weights)
+        # Same stimulus through the per-trace cycle-loop oracle.
+        with oracle.patched():
+            unpacked = emulator.measure_activity(windows, weights)
         assert packed.batch == 3
         assert packed.cycles == engine.length
         assert packed.total_toggles() == unpacked.total_toggles()
@@ -259,6 +267,19 @@ class TestHybridNetwork:
             data.x_test, data.y_test, mode="bitexact", limit=8
         )
         assert 0.0 <= rate <= 1.0
+
+    @pytest.mark.parametrize("mode", ["binary", "bitexact", "emulate"])
+    def test_empty_batch(self, trained_hybrid_setup, mode):
+        data, frozen = trained_hybrid_setup
+        hybrid = HybridStochasticBinaryNetwork(frozen, engine=new_sc_engine(6))
+        empty = data.x_test[:0]
+        assert hybrid.forward(empty, mode=mode).shape == (0, 10)
+        classes = hybrid.predict_classes(empty, mode=mode)
+        assert classes.shape == (0,)
+        assert np.issubdtype(classes.dtype, np.integer)
+        # An empty batch leaves nothing to calibrate the emulator on.
+        assert hybrid._emulator is None
+        assert hybrid.predict_classes(data.x_test[:3], mode=mode).shape == (3,)
 
     def test_unknown_mode_rejected(self, trained_hybrid_setup):
         data, frozen = trained_hybrid_setup

@@ -5,10 +5,12 @@ that a batch of ``K`` stimulus sets is *bit-identical* to ``K`` independent
 :func:`~repro.netlist.simulator.simulate` runs.  Hypothesis drives that
 equivalence over randomly generated circuits (including register feedback
 loops), cycle counts that are deliberately not multiples of 64, record
-subsets, and mixtures of per-trace and shared (1-D) stimulus.
+subsets, and mixtures of per-trace and shared (1-D) stimulus.  The
+reference runs go through the cycle-loop oracle (``tests/oracle.py``).
 """
 
 import numpy as np
+import oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -36,7 +38,7 @@ def random_netlists(draw):
     Register input nets are declared first and driven *after* the rest of
     the circuit exists, so a register's data input can (and often does)
     depend on its own output -- exactly the LFSR-style feedback cores the
-    packed backend resolves per cycle.
+    simulator resolves per cycle.
     """
     n_inputs = draw(st.integers(min_value=1, max_value=3))
     n_regs = draw(st.integers(min_value=0, max_value=3))
@@ -92,26 +94,25 @@ def per_trace_stimulus(stimulus, k):
 def assert_batch_equals_independent_runs(
     netlist, stimulus, batch, cycles=None, record=None
 ):
-    """The core invariant, checked for both backends of simulate_batch."""
-    for backend in ("packed", "unpacked"):
-        batched = simulate_batch(
-            netlist, stimulus, cycles=cycles, record=record,
-            backend=backend, batch=batch,
+    """The core invariant, for simulate_batch and its cycle-loop oracle."""
+    for impl, sim_batch in zip(oracle.IMPLS, (simulate_batch, oracle.simulate_batch)):
+        batched = sim_batch(
+            netlist, stimulus, cycles=cycles, record=record, batch=batch
         )
         assert batched.batch == batch
         for k in range(batch):
-            single = simulate(
+            single = oracle.simulate(
                 netlist, per_trace_stimulus(stimulus, k), cycles=cycles,
-                record=record, backend="unpacked",
+                record=record,
             )
             trace = batched.trace(k)
             assert trace.cycles == single.cycles
-            assert trace.toggles == single.toggles, (backend, k)
+            assert trace.toggles == single.toggles, (impl, k)
             assert set(trace.waveforms) == set(single.waveforms)
             for net in single.waveforms:
                 np.testing.assert_array_equal(
                     trace.waveforms[net], single.waveforms[net],
-                    err_msg=f"{backend}/{k}/{net}",
+                    err_msg=f"{impl}/{k}/{net}",
                 )
     return batched
 
@@ -194,9 +195,9 @@ class TestBatchApi:
 
     def test_zero_trace_stimulus_rejected(self):
         netlist = self.build_simple()
-        for backend in ("packed", "unpacked"):
+        for sim_batch in (simulate_batch, oracle.simulate_batch):
             with pytest.raises(ValueError, match="at least one trace"):
-                simulate_batch(netlist, {"a": np.zeros((0, 8))}, backend=backend)
+                sim_batch(netlist, {"a": np.zeros((0, 8))})
 
     def test_explicit_batch_with_shared_stimulus(self):
         netlist = self.build_simple()
@@ -242,9 +243,9 @@ class TestBatchAggregation:
     def test_aggregates_match_per_trace_results(self):
         netlist = build_sc_dot_product(3, 4, adder="tff")
         stimulus = batched_stimulus(netlist, 4, 100, seed=5)
-        batched = simulate_batch(netlist, stimulus, backend="packed")
+        batched = simulate_batch(netlist, stimulus)
         singles = [
-            simulate(netlist, per_trace_stimulus(stimulus, k), backend="unpacked")
+            oracle.simulate(netlist, per_trace_stimulus(stimulus, k))
             for k in range(4)
         ]
         assert batched.total_toggles() == sum(s.total_toggles() for s in singles)
@@ -263,15 +264,13 @@ class TestBatchAggregation:
     def test_estimate_power_accepts_batched_result(self):
         netlist = build_sc_dot_product(3, 4, adder="tff")
         stimulus = batched_stimulus(netlist, 3, 100, seed=11)
-        batched = simulate_batch(netlist, stimulus, backend="packed")
+        batched = simulate_batch(netlist, stimulus)
         report = estimate_power(netlist, 500.0, simulation=batched)
         assert report.activity == pytest.approx(batched.average_activity())
         per_trace = [
             estimate_power(
                 netlist, 500.0,
-                simulation=simulate(
-                    netlist, per_trace_stimulus(stimulus, k), backend="unpacked"
-                ),
+                simulation=oracle.simulate(netlist, per_trace_stimulus(stimulus, k)),
             ).dynamic_mw
             for k in range(3)
         ]
@@ -327,11 +326,9 @@ class TestTracePackedFeedbackCores:
         # Batches above 64 traces exercise multi-word trace packing.
         netlist = _feedback_counter_netlist()
         stimulus = batched_stimulus(netlist, batch, cycles, seed)
-        batched = simulate_batch(netlist, stimulus, backend="packed")
+        batched = simulate_batch(netlist, stimulus)
         for k in range(0, batch, max(1, batch // 7)):
-            single = simulate(
-                netlist, per_trace_stimulus(stimulus, k), backend="unpacked"
-            )
+            single = oracle.simulate(netlist, per_trace_stimulus(stimulus, k))
             assert batched.trace(k).toggles == single.toggles
 
     def test_word_step_fallback_matches(self):
@@ -343,8 +340,8 @@ class TestTracePackedFeedbackCores:
             if inst.cell.sequential:
                 inst.cell = dataclasses.replace(inst.cell, word_step=None)
         stimulus = batched_stimulus(netlist, 3, 100, seed=9)
-        fast = simulate_batch(netlist, stimulus, backend="packed")
-        slow = simulate_batch(stripped, stimulus, backend="packed")
+        fast = simulate_batch(netlist, stimulus)
+        slow = simulate_batch(stripped, stimulus)
         assert set(fast.toggles) == set(slow.toggles)
         for net in fast.toggles:
             np.testing.assert_array_equal(fast.toggles[net], slow.toggles[net])
@@ -360,7 +357,7 @@ class TestTracePackedFeedbackCores:
             "enable": rng.integers(0, 2, 100).astype(np.uint8),
             "x": rng.integers(0, 2, 100).astype(np.uint8),
         }
-        batched = simulate_batch(netlist, stimulus, backend="packed", batch=3)
-        single = simulate(netlist, stimulus, backend="unpacked")
+        batched = simulate_batch(netlist, stimulus, batch=3)
+        single = oracle.simulate(netlist, stimulus)
         for k in range(3):
             assert batched.trace(k).toggles == single.toggles

@@ -1,18 +1,20 @@
 """Differential suite: packed netlist simulation vs. the per-cycle cell loop.
 
-The packed backend's claim is *bit-identical* ``SimulationResult`` contents
--- toggles, waveforms and activity -- so every assertion here is exact
-equality.  Every circuit builder in :mod:`repro.netlist.circuits` is
-exercised, not just the Table 3 engine: the stochastic datapath, the binary
-baselines, and the register-feedback netlists (LFSR, SNG, MAC accumulator
-loop) that the packed backend now resolves word-parallel via narrow feedback
-cores instead of falling back to the cycle loop.  The no-fallback claim is
+The word-parallel simulator's claim is *bit-identical* ``SimulationResult``
+contents -- toggles, waveforms and activity -- to the cycle-loop oracle
+(``oracle.simulate``), so every assertion here is exact equality.  Every
+circuit builder in :mod:`repro.netlist.circuits` is exercised, not just the
+Table 3 engine: the stochastic datapath, the binary baselines, and the
+register-feedback netlists (LFSR, SNG, MAC accumulator loop) that the
+simulator resolves word-parallel via narrow feedback cores instead of
+falling back to the cycle loop.  The no-fallback claim is
 asserted directly by instrumenting the cycle-loop entry point.
 """
 
 import contextlib
 
 import numpy as np
+import oracle
 import pytest
 
 from repro.netlist import (
@@ -34,6 +36,9 @@ from repro.netlist import (
 )
 from repro.netlist import simulator as simulator_module
 from repro.rng import MAXIMAL_TAPS
+
+#: ``simulate`` per implementation: the library's and the cycle-loop oracle's.
+SIMULATE = {"packed": simulate, "unpacked": oracle.simulate}
 
 #: Cycle counts exercising one partial word, exact words and multi-word
 #: runs with a partial tail.
@@ -68,10 +73,10 @@ def random_stimulus(netlist, cycles, seed=0):
 
 @contextlib.contextmanager
 def forbid_cycle_loop():
-    """Fail the test if the packed backend falls back to the cycle loop."""
+    """Fail the test if the simulator falls back to the cycle loop."""
 
     def tripwire(*args, **kwargs):
-        raise AssertionError("packed backend took the cycle-loop fallback")
+        raise AssertionError("simulate() took the cycle-loop fallback")
 
     original = simulator_module._simulate_cycle_loop
     simulator_module._simulate_cycle_loop = tripwire
@@ -81,12 +86,10 @@ def forbid_cycle_loop():
         simulator_module._simulate_cycle_loop = original
 
 
-def assert_backends_identical(netlist, stimulus, cycles=None, record=None):
-    unpacked = simulate(netlist, stimulus, cycles=cycles, record=record,
-                        backend="unpacked")
+def assert_matches_cycle_loop(netlist, stimulus, cycles=None, record=None):
+    unpacked = oracle.simulate(netlist, stimulus, cycles=cycles, record=record)
     with forbid_cycle_loop():
-        packed = simulate(netlist, stimulus, cycles=cycles, record=record,
-                          backend="packed")
+        packed = simulate(netlist, stimulus, cycles=cycles, record=record)
     assert packed.cycles == unpacked.cycles
     assert packed.toggles == unpacked.toggles
     assert set(packed.waveforms) == set(unpacked.waveforms)
@@ -114,7 +117,7 @@ class TestCellWordLogic:
         outputs = net.add_cell(name, inputs)
         for out in outputs:
             net.add_output(out)
-        assert_backends_identical(net, random_stimulus(net, cycles, seed=cycles))
+        assert_matches_cycle_loop(net, random_stimulus(net, cycles, seed=cycles))
 
     @pytest.mark.parametrize("name", ["DFF", "TFF"])
     @pytest.mark.parametrize("initial_state", [0, 1])
@@ -123,24 +126,24 @@ class TestCellWordLogic:
         d = net.add_input("d")
         (q,) = net.add_cell(name, [d], outputs=["q"], initial_state=initial_state)
         net.add_output(q)
-        assert_backends_identical(net, random_stimulus(net, 100))
+        assert_matches_cycle_loop(net, random_stimulus(net, 100))
 
 
 class TestTable3Circuits:
     @pytest.mark.parametrize("cycles", CYCLE_COUNTS)
     def test_tff_adder(self, cycles):
         net = build_tff_adder()
-        assert_backends_identical(net, random_stimulus(net, cycles, seed=cycles))
+        assert_matches_cycle_loop(net, random_stimulus(net, cycles, seed=cycles))
 
     @pytest.mark.parametrize("adder", ["tff", "mux"])
     @pytest.mark.parametrize("leaves", [3, 4, 5, 8])
     def test_adder_trees(self, adder, leaves):
         net = build_adder_tree(leaves, adder=adder)
-        assert_backends_identical(net, random_stimulus(net, 100, seed=leaves))
+        assert_matches_cycle_loop(net, random_stimulus(net, 100, seed=leaves))
 
     def test_counter(self):
         net = build_counter(5)
-        assert_backends_identical(
+        assert_matches_cycle_loop(
             net,
             random_stimulus(net, 130),
             record=[f"count{i}" for i in range(5)],
@@ -151,7 +154,7 @@ class TestTable3Circuits:
         # The Table 3 activity circuit: multipliers, two trees, two counters
         # and the sign comparator, over a non-word-aligned cycle count.
         net = build_sc_dot_product(9, 6, adder=adder)
-        assert_backends_identical(net, random_stimulus(net, 100, seed=3))
+        assert_matches_cycle_loop(net, random_stimulus(net, 100, seed=3))
 
     def test_binary_baseline(self):
         for net, cycles in (
@@ -159,7 +162,7 @@ class TestTable3Circuits:
             (build_array_multiplier(4), 20),
             (build_binary_mac(4, 10), 40),
         ):
-            assert_backends_identical(net, random_stimulus(net, cycles))
+            assert_matches_cycle_loop(net, random_stimulus(net, cycles))
 
 
 class TestEveryBuilder:
@@ -176,7 +179,7 @@ class TestEveryBuilder:
     def test_builder_bit_identical(self, name, cycles):
         netlist = ALL_BUILDERS[name]()
         stimulus = random_stimulus(netlist, cycles, seed=hash(name) % 1000)
-        assert_backends_identical(
+        assert_matches_cycle_loop(
             netlist, stimulus, cycles=cycles, record=netlist.nets
         )
 
@@ -189,14 +192,14 @@ class TestRegisterFeedbackResolution:
     def test_lfsr(self):
         bits = 4
         net = build_lfsr(bits, MAXIMAL_TAPS[bits])
-        assert_backends_identical(
+        assert_matches_cycle_loop(
             net, {}, cycles=20, record=[f"state{i}" for i in range(bits)]
         )
 
     def test_sng(self):
         bits = 4
         net = build_sng(bits, MAXIMAL_TAPS[bits])
-        assert_backends_identical(net, random_stimulus(net, 15))
+        assert_matches_cycle_loop(net, random_stimulus(net, 15))
 
     def test_register_self_loop(self):
         # A TFF toggling on its own inverted output: the smallest possible
@@ -205,7 +208,7 @@ class TestRegisterFeedbackResolution:
         (q,) = net.add_cell("TFF", ["nq"], outputs=["q"], initial_state=0)
         net.add_cell("INV", ["q"], outputs=["nq"])
         net.add_output(q)
-        assert_backends_identical(net, {}, cycles=37, record=["q", "nq"])
+        assert_matches_cycle_loop(net, {}, cycles=37, record=["q", "nq"])
 
     def test_two_independent_cores(self):
         # Two disjoint feedback cores plus shared downstream logic: each SCC
@@ -220,7 +223,7 @@ class TestRegisterFeedbackResolution:
             net.add_cell("INV", [q], outputs=[f"{tag}_d"])
         (mix,) = net.add_cell("XOR2", ["a_q", "b_q"], outputs=["mix"])
         net.add_output(mix)
-        assert_backends_identical(net, {}, cycles=50, record=["a_q", "b_q", "mix"])
+        assert_matches_cycle_loop(net, {}, cycles=50, record=["a_q", "b_q", "mix"])
 
     def test_core_with_external_time_varying_input(self):
         # The MAC-style case: a register loop fed by a changing primary
@@ -230,12 +233,12 @@ class TestRegisterFeedbackResolution:
         (q,) = net.add_cell("DFF", ["d"], outputs=["q"])
         net.add_cell("XOR2", [x, q], outputs=["d"])
         net.add_output(q)
-        assert_backends_identical(net, random_stimulus(net, 129), record=["q", "d"])
+        assert_matches_cycle_loop(net, random_stimulus(net, 129), record=["q", "d"])
 
 
 class TestPeriodWrapRegression:
     """Runs longer than the register-core period must wrap the precomputed
-    state sequence identically on both backends -- including runs that end
+    state sequence identically to the cycle loop -- including runs that end
     exactly on a period boundary or one cycle past it."""
 
     @pytest.mark.parametrize("bits", [3, 4])
@@ -244,7 +247,7 @@ class TestPeriodWrapRegression:
         net = build_lfsr(bits, MAXIMAL_TAPS[bits])
         record = [f"state{i}" for i in range(bits)]
         for cycles in (period - 1, period, period + 1, 4 * period + 3):
-            packed = assert_backends_identical(net, {}, cycles=cycles, record=record)
+            packed = assert_matches_cycle_loop(net, {}, cycles=cycles, record=record)
             assert packed.cycles == cycles
 
     def test_lfsr_waveform_wraps_exactly(self):
@@ -252,9 +255,8 @@ class TestPeriodWrapRegression:
         period = (1 << bits) - 1
         net = build_lfsr(bits, MAXIMAL_TAPS[bits])
         record = [f"state{i}" for i in range(bits)]
-        long = simulate(net, {}, cycles=3 * period + 5, record=record,
-                        backend="packed")
-        short = simulate(net, {}, cycles=period, record=record, backend="packed")
+        long = simulate(net, {}, cycles=3 * period + 5, record=record)
+        short = simulate(net, {}, cycles=period, record=record)
         for net_name in record:
             reference = short.waveform(net_name)
             wave = long.waveform(net_name)
@@ -267,7 +269,7 @@ class TestPeriodWrapRegression:
         period = (1 << bits) - 1
         net = build_sng(bits, MAXIMAL_TAPS[bits])
         cycles = 5 * period + 2
-        assert_backends_identical(net, random_stimulus(net, cycles, seed=9))
+        assert_matches_cycle_loop(net, random_stimulus(net, cycles, seed=9))
 
     def test_core_with_transient_before_period(self):
         # A register core whose state sequence has a non-trivial transient:
@@ -277,7 +279,7 @@ class TestPeriodWrapRegression:
         (q,) = net.add_cell("DFF", ["d"], outputs=["q"], initial_state=0)
         net.add_cell("OR2", [q, "1"], outputs=["d"])
         net.add_output(q)
-        packed = assert_backends_identical(net, {}, cycles=70, record=["q"])
+        packed = assert_matches_cycle_loop(net, {}, cycles=70, record=["q"])
         np.testing.assert_array_equal(
             packed.waveform("q"), [0] + [1] * 69
         )
@@ -291,32 +293,28 @@ class TestRecordValidation:
         net.add_output(y)
         return net
 
-    @pytest.mark.parametrize("backend", ["packed", "unpacked"])
-    def test_unknown_record_net_rejected(self, backend):
+    @pytest.mark.parametrize("impl", oracle.IMPLS)
+    def test_unknown_record_net_rejected(self, impl):
         # A typo in `record` must fail loudly instead of silently returning
         # an all-zero waveform.
         net = self.build_simple()
         with pytest.raises(ValueError, match="ghost"):
-            simulate(net, {"a": [0, 1]}, record=["y", "ghost"], backend=backend)
+            SIMULATE[impl](net, {"a": [0, 1]}, record=["y", "ghost"])
 
-    @pytest.mark.parametrize("backend", ["packed", "unpacked"])
-    def test_constant_nets_recordable(self, backend):
+    @pytest.mark.parametrize("impl", oracle.IMPLS)
+    def test_constant_nets_recordable(self, impl):
         net = self.build_simple()
-        result = simulate(net, {"a": [0, 1, 0]}, record=["1", "0"], backend=backend)
+        result = SIMULATE[impl](net, {"a": [0, 1, 0]}, record=["1", "0"])
         np.testing.assert_array_equal(result.waveform("1"), [1, 1, 1])
         np.testing.assert_array_equal(result.waveform("0"), [0, 0, 0])
 
-    def test_unknown_backend_rejected(self):
+    @pytest.mark.parametrize("impl", oracle.IMPLS)
+    def test_nonbinary_stimulus_normalized(self, impl):
+        # Any nonzero stimulus value counts as logic 1, identically in the
+        # word-parallel path and the cycle loop (raw ints must never reach
+        # the scalar cell logic).
         net = self.build_simple()
-        with pytest.raises(ValueError, match="backend"):
-            simulate(net, {"a": [0, 1]}, backend="simd")
-
-    @pytest.mark.parametrize("backend", ["packed", "unpacked"])
-    def test_nonbinary_stimulus_normalized(self, backend):
-        # Any nonzero stimulus value counts as logic 1, identically on both
-        # backends (raw ints must never reach the scalar cell logic).
-        net = self.build_simple()
-        result = simulate(net, {"a": [0, 2, 0, 3]}, backend=backend)
+        result = SIMULATE[impl](net, {"a": [0, 2, 0, 3]})
         np.testing.assert_array_equal(result.waveform("y"), [1, 0, 1, 0])
         assert result.toggles["y"] == 3
 
@@ -327,6 +325,6 @@ class TestRecordValidation:
         a = net.add_input("a")
         (y,) = net.add_cell("BUF", [a], outputs=["y"])
         net.add_output(y)
-        for backend in ("packed", "unpacked"):
-            result = simulate(net, {"a": [1, 1, 1, 1]}, backend=backend)
+        for sim in SIMULATE.values():
+            result = sim(net, {"a": [1, 1, 1, 1]})
             assert result.toggles == {"a": 0, "y": 0}

@@ -218,6 +218,13 @@ class TestFlattenDropoutActivation:
         back = layer.backward(out)
         np.testing.assert_allclose(back, x)
 
+    def test_flatten_empty_batch(self):
+        # reshape(0, -1) is ambiguous; an empty batch keeps its feature width.
+        layer = Flatten()
+        out = layer.forward(np.zeros((0, 3, 2, 2)))
+        assert out.shape == (0, 12)
+        assert layer.backward(out).shape == (0, 3, 2, 2)
+
     def test_dropout_inference_is_identity(self):
         layer = Dropout(0.5)
         x = np.ones((4, 10))

@@ -1,13 +1,15 @@
-"""Differential equivalence suite: packed backend vs. the unpacked reference.
+"""Differential equivalence suite: packed words vs. the byte-per-bit oracle.
 
 Every gate-level identity of the packed word kernels is machine-checked
-against the byte-per-bit :class:`Bitstream` implementation, over randomized
-values and lengths -- including lengths that are not multiples of 64, where
-tail-word handling matters.  The packed backend's claim is *bit-identical*
-output, so every assertion here is exact equality, never approximate.
+against the byte-per-bit :class:`Bitstream` implementation and the test-only
+oracle (``tests/oracle.py``), over randomized values and lengths --
+including lengths that are not multiples of 64, where tail-word handling
+matters.  The packed path's claim is *bit-identical* output, so every
+assertion here is exact equality, never approximate.
 """
 
 import numpy as np
+import oracle
 import pytest
 
 from repro.bitstream import (
@@ -30,7 +32,7 @@ from repro.sc import (
     new_sc_engine,
     old_sc_engine,
 )
-from repro.sc.dotproduct import stochastic_dot_product, stochastic_dot_product_packed
+from repro.sc.dotproduct import stochastic_dot_product_packed
 from repro.sc.elements.adders import mux_add, tff_add
 from repro.sc.elements.flipflops import toggle_states
 
@@ -206,7 +208,7 @@ class TestDotProductEquivalence:
         rng = np.random.default_rng(11)
         x = random_bits(rng, (6, 9, 300))
         w = random_bits(rng, (9, 300))
-        expected = stochastic_dot_product(x, w, adder)
+        expected = oracle.stochastic_dot_product(x, w, adder)
         got = stochastic_dot_product_packed(pack_bits(x), pack_bits(w), 300, adder)
         np.testing.assert_array_equal(got, expected)
 
@@ -225,12 +227,10 @@ class TestDotProductEquivalence:
         rng = np.random.default_rng(precision)
         x = rng.random((5, 25))
         w = rng.uniform(-1.0, 1.0, 25)
-        packed = StochasticDotProductEngine(
-            precision=precision, seed=7, backend="packed", **kwargs
-        ).dot(x, w)
-        unpacked = StochasticDotProductEngine(
-            precision=precision, seed=7, backend="unpacked", **kwargs
-        ).dot(x, w)
+        packed = StochasticDotProductEngine(precision=precision, seed=7, **kwargs).dot(x, w)
+        unpacked = oracle.dot(
+            StochasticDotProductEngine(precision=precision, seed=7, **kwargs), x, w
+        )
         np.testing.assert_array_equal(packed.positive_count, unpacked.positive_count)
         np.testing.assert_array_equal(packed.negative_count, unpacked.negative_count)
         np.testing.assert_array_equal(packed.sign, unpacked.sign)
@@ -258,14 +258,11 @@ class TestConvolutionEquivalence:
         images = rng.random((2, 9, 9))
         kernels = rng.uniform(-1.0, 1.0, (4, 3, 3))
         results = {}
-        for backend in ("packed", "unpacked"):
+        for impl in oracle.IMPLS:
             layer = StochasticConv2D(
-                kernels,
-                engine=factory(5, seed=2, backend=backend),
-                padding=1,
-                soft_threshold=0.02,
+                kernels, engine=factory(5, seed=2), padding=1, soft_threshold=0.02
             )
-            results[backend] = layer.forward(images)
+            results[impl] = oracle.evaluate(impl, layer, "forward", images)
         np.testing.assert_array_equal(
             results["packed"].positive_count, results["unpacked"].positive_count
         )
@@ -281,14 +278,10 @@ class TestEvaluatorEquivalence:
         from repro.eval.table1 import multiplier_mse
 
         for scheme in ("shared_lfsr", "ramp_low_discrepancy"):
-            assert multiplier_mse(scheme, 4, backend="packed") == multiplier_mse(
-                scheme, 4, backend="unpacked"
-            )
+            assert multiplier_mse(scheme, 4) == oracle.multiplier_mse(scheme, 4)
 
     def test_table2_mse_identical_across_backends(self):
         from repro.eval.table2 import adder_mse
 
         for config in ("old_random_lfsr", "old_lfsr_tff", "new_tff"):
-            assert adder_mse(config, 4, backend="packed") == adder_mse(
-                config, 4, backend="unpacked"
-            )
+            assert adder_mse(config, 4) == oracle.adder_mse(config, 4)
