@@ -13,8 +13,9 @@ geometry and asserts the claim quantitatively:
   binary one at every rate.
 
 The sweep is fully deterministic (counter-hashed masks), so re-running this
-benchmark regenerates ``BENCH_faults.json`` bit-for-bit -- CI diffs the file
-against the committed copy to prove it.
+benchmark regenerates ``BENCH_faults.json`` bit-for-bit.  It writes the
+artifact under ``.bench_build/`` (untracked); CI compares that file byte for
+byte against the committed copy at the repo root.
 """
 
 from pathlib import Path
@@ -26,13 +27,15 @@ from repro.faults.sweep import (
     write_artifact,
 )
 
-ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_faults.json"
+ARTIFACT = Path(__file__).resolve().parent.parent / ".bench_build" / "BENCH_faults.json"
 
 
 def test_sc_degrades_more_gracefully_than_binary():
     result = run_fault_sweep(FaultSweepConfig())
     print()
     print(format_fault_sweep(result))
+    ARTIFACT.parent.mkdir(exist_ok=True)
+    ARTIFACT.unlink(missing_ok=True)  # a fresh file, not a merge into an old run
     write_artifact(result, ARTIFACT)
 
     rows = {row["rate"]: row for row in result.rows}

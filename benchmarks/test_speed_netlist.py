@@ -189,27 +189,31 @@ def test_batched_multi_trace_speedup():
 
 
 def test_packed_bipolar_dot_product_speedup_at_4096():
-    """Packed bipolar engine vs. the byte-per-bit oracle on the stream path.
+    """Packed vs. byte-per-bit bipolar stream reduction.
 
-    Pinned to ``mode="streams"``: this row has always compared the two
-    representations on the adder-tree stream reduction, and the count-domain
-    mode (which skips that reduction entirely, shrinking the gap) has its own
-    ``bipolar_count_dot`` row in BENCH_packed.json.
+    This row has always compared the two representations on the adder-tree
+    stream reduction: the packed side is the oracle's packed twin
+    (alternating-stream pad plus ``TreePlan.reduce_packed``).  The engine's
+    count-domain path, which skips that reduction entirely, has its own
+    ``bipolar_count_dot`` row in BENCH_packed.json and must agree with both.
     """
     precision, taps, batch = 12, 25, 32  # stream length 4096
     rng = np.random.default_rng(1)
     x = rng.random((batch, taps))
     w = rng.uniform(-1.0, 1.0, taps)
 
-    engine = BipolarDotProductEngine(precision=precision, mode="streams")
+    engine = BipolarDotProductEngine(precision=precision)
     results, timings = {}, {}
     timings["unpacked"], results["unpacked"] = best_of(lambda: oracle.dot(engine, x, w))
-    timings["packed"], results["packed"] = best_of(lambda: engine.dot(x, w))
+    timings["packed"], results["packed"] = best_of(
+        lambda: oracle.dot(engine, x, w, packed=True)
+    )
 
     np.testing.assert_array_equal(
         results["packed"].count, results["unpacked"].count
     )
     np.testing.assert_array_equal(results["packed"].sign, results["unpacked"].sign)
+    np.testing.assert_array_equal(engine.dot(x, w).count, results["packed"].count)
 
     length = 1 << precision
     speedup = timings["unpacked"] / timings["packed"]

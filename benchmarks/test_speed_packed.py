@@ -135,19 +135,19 @@ def test_filter_parallel_conv_speedup():
     ``(filter, sign)`` tree lane in one vectorized pass per level and must be
     bit-identical while clearing the acceptance floor of 5x.
 
-    The loop side is pinned to ``mode="streams"``: it stands in for the
-    historical per-filter stream path, and under the ``"auto"`` default a
-    single ``dot_prepared`` call now collapses its TFF tree to integer
-    counts too, which would erase the contrast this row has tracked since
-    the filter-parallel change.  The bank side keeps its historical default
-    (the PR 4 count reduction for all-TFF trees).
+    The loop side is the historical per-filter stream path: the oracle's
+    ``dot_prepared`` on packed words, two ``TreePlan.reduce_packed`` tree
+    reductions per kernel.  (The engine's own ``dot_prepared`` now runs a
+    one-filter bank in the count domain, which would erase the contrast this
+    row has tracked since the filter-parallel change.)  The bank side is the
+    engine's count reduction for all-TFF trees.
     """
     rng = np.random.default_rng(2)
     images = rng.random((1, 16, 16))
     kernels = rng.uniform(-1.0, 1.0, (32, 5, 5))
     filters, taps = kernels.shape[0], 25
     flat_kernels = kernels.reshape(filters, taps)
-    loop_engine = new_sc_engine(8, seed=1, mode="streams")
+    loop_engine = new_sc_engine(8, seed=1)
     bank_engine = new_sc_engine(8, seed=1)
     patches = extract_patches(images, (5, 5), padding=2).reshape(-1, taps)
     x_streams = loop_engine.prepare_inputs(patches)
@@ -156,7 +156,9 @@ def test_filter_parallel_conv_speedup():
         pos = np.empty((patches.shape[0], filters), dtype=np.int64)
         neg = np.empty_like(pos)
         for f in range(filters):
-            result = loop_engine.dot_prepared(x_streams, flat_kernels[f])
+            result = oracle.dot_prepared(
+                loop_engine, x_streams, flat_kernels[f], packed=True
+            )
             pos[:, f] = result.positive_count
             neg[:, f] = result.negative_count
         return pos, neg
@@ -202,11 +204,12 @@ def test_mux_count_conv_speedup():
 
     Table 3 scale on the filter axis: 32 MUX-adder kernels at N=256 over one
     16x16 image's worth of patches, evaluated through the same prepared
-    filter-parallel bank the convolution layer uses per tile.  The
-    ``mode="counts"`` path folds the cached select streams into per-leaf
-    ownership masks (one masked AND/OR accumulate plus a popcount) instead of
-    reducing stream tensors level by level through ``packed_mux`` -- it must
-    be bit-identical while clearing the acceptance floor of 3x.
+    filter-parallel bank the convolution layer uses per tile.  The count
+    path folds the cached select streams into per-leaf ownership masks (one
+    masked AND/OR accumulate plus a popcount); the stream side is the
+    oracle's packed bank, which reduces the same lanes level by level with
+    ``TreePlan.reduce_packed``.  The count path must be bit-identical while
+    clearing the acceptance floor of 3x.
     """
     rng = np.random.default_rng(3)
     images = rng.random((1, 16, 16))
@@ -215,16 +218,17 @@ def test_mux_count_conv_speedup():
     flat_kernels = kernels.reshape(filters, taps)
     patches = extract_patches(images, (5, 5), padding=2).reshape(-1, taps)
 
+    engine, twin = (
+        StochasticDotProductEngine(precision=8, adder="mux", seed=1) for _ in range(2)
+    )
+    x_streams = engine.prepare_inputs(patches)
+    bank = engine.prepare_weights(flat_kernels)
+    stream_bank = oracle.BitBank(twin, flat_kernels, packed=True)
     results, timings = {}, {}
-    for mode in ("streams", "counts"):
-        engine = StochasticDotProductEngine(
-            precision=8, adder="mux", seed=1, mode=mode
-        )
-        x_streams = engine.prepare_inputs(patches)
-        bank = engine.prepare_weights(flat_kernels)
-        timings[mode], results[mode] = best_of(lambda: bank.counts(x_streams))
+    timings["streams"], results["streams"] = best_of(lambda: stream_bank.counts(x_streams))
+    timings["counts"], results["counts"] = best_of(lambda: bank.counts(x_streams))
 
-    # Correctness first: count mode must be bit-identical to the stream path.
+    # Correctness first: the count path must be bit-identical to the stream path.
     np.testing.assert_array_equal(results["counts"][0], results["streams"][0])
     np.testing.assert_array_equal(results["counts"][1], results["streams"][1])
 
@@ -260,18 +264,20 @@ def test_bipolar_count_dot_speedup():
     once and halves integer counts per level -- with the exact ``N/2``
     alternating-pad count for the odd tap axis -- so it must be bit-identical
     to the stream reduction while clearing a 1.3x end-to-end floor (stream
-    generation itself, common to both modes, dominates the remainder).
+    generation itself, common to both sides, dominates the remainder).  The
+    stream side is the oracle's packed twin: alternating-stream pad plus
+    ``TreePlan.reduce_packed``.
     """
     rng = np.random.default_rng(4)
     x = rng.uniform(-1.0, 1.0, (128, 25))
     w = rng.uniform(-1.0, 1.0, 25)
 
+    engine = BipolarDotProductEngine(precision=12, adder="tff", seed=1)
     results, timings = {}, {}
-    for mode in ("streams", "counts"):
-        engine = BipolarDotProductEngine(
-            precision=12, adder="tff", seed=1, mode=mode
-        )
-        timings[mode], results[mode] = best_of(lambda: engine.dot(x, w))
+    timings["streams"], results["streams"] = best_of(
+        lambda: oracle.dot(engine, x, w, packed=True)
+    )
+    timings["counts"], results["counts"] = best_of(lambda: engine.dot(x, w))
 
     np.testing.assert_array_equal(results["counts"].count, results["streams"].count)
 

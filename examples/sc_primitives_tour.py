@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from repro.bitstream import Bitstream, autocorrelation, stochastic_cross_correlation
-from repro.bitstream.packed import PackedBitstream
+from repro.bitstream.packed import PackedBitstream, packed_popcount
 from repro.eval import format_table1, format_table2, run_table1, run_table2
 from repro.faults import FaultSpec, flip_binary_words, inject_stream
 from repro.netlist import (
@@ -147,8 +147,10 @@ def main() -> None:
     # The hybrid first layer applies 32 kernels to every image window.  The
     # engine's prepare_weights() builds one weight bank with a leading filter
     # axis (plus fused positive/negative trees) so a single reduction covers
-    # every kernel -- bit-identical to looping dot_prepared per kernel, and
-    # for the TFF adder the tree collapses to exact count arithmetic.
+    # every kernel -- bit-identical to looping dot_prepared per kernel.  Each
+    # dot_prepared call is itself a one-filter bank, so with count-domain
+    # trees the two cost about the same; the stream reduction the bank
+    # avoids is timed in the next section.
     conv_engine = StochasticDotProductEngine(precision=8)
     windows = rng.random((256, 25))          # one 16x16 image's worth of patches
     conv_kernels = rng.uniform(-1, 1, (32, 25))
@@ -165,28 +167,32 @@ def main() -> None:
     print(f"32 kernels x 256 windows at N=256: per-filter loop {loop_s * 1e3:6.1f} ms, "
           f"filter-parallel {bank_s * 1e3:6.1f} ms ({loop_s / bank_s:.0f}x)")
 
-    section("Count-domain mode: adder trees without adder-tree streams")
-    # mode="counts" (the default via "auto") never materializes a tree node's
+    section("Count-domain evaluation: adder trees without adder-tree streams")
+    # Without stream faults the engines never materialize a tree node's
     # bit-stream: all-TFF trees reduce integer counts with floor/ceil((cx+cy)/2)
     # per level, and all-MUX trees fold their cached select streams into one
     # disjoint ownership mask per leaf, so the root count is a single masked
-    # popcount.  Both shortcuts are exact -- identical counters, not close ones
-    # -- so the mode (engine arg, REPRO_MODE, or --mode on the CLI) trades
-    # speed and memory only.  OR trees are position-dependent and always run
-    # as streams ("counts" raises for them).
+    # popcount.  Both shortcuts are exact -- identical counters, not close
+    # ones.  OR trees and faulted streams reduce the packed streams level by
+    # level instead (TreePlan.reduce_packed), timed here on the same bank.
     for adder in ("mux", "tff"):
-        stream_eng = StochasticDotProductEngine(
-            precision=8, adder=adder, mode="streams")
-        count_eng = StochasticDotProductEngine(
-            precision=8, adder=adder, mode="counts")
+        sc_engine = StochasticDotProductEngine(precision=8, adder=adder)
+        bank = sc_engine.prepare_weights(conv_kernels)
+        x_words = sc_engine.prepare_inputs(windows)
+
+        def via_streams():
+            lanes = x_words[:, np.newaxis] & bank.weight_streams.reshape(64, 25, -1)
+            return packed_popcount(bank.plan.reduce_packed(lanes, sc_engine.length))
+
+        # One untimed pass each builds the bank's cached MUX selects and masks.
+        bank.counts(x_words), via_streams()
         start = time.perf_counter()
-        via_streams = stream_eng.dot_filters(windows, conv_kernels)
-        stream_s = time.perf_counter() - start
-        start = time.perf_counter()
-        via_counts = count_eng.dot_filters(windows, conv_kernels)
+        pos, neg = bank.counts(x_words)
         count_s = time.perf_counter() - start
-        assert np.array_equal(via_streams.positive_count, via_counts.positive_count)
-        assert np.array_equal(via_streams.negative_count, via_counts.negative_count)
+        start = time.perf_counter()
+        roots = via_streams()
+        stream_s = time.perf_counter() - start
+        assert np.array_equal(roots[:, 0::2], pos) and np.array_equal(roots[:, 1::2], neg)
         print(f"{adder:>4s} tree, 32 kernels x 256 windows: streams "
               f"{stream_s * 1e3:6.1f} ms, counts {count_s * 1e3:6.1f} ms "
               f"({stream_s / count_s:.1f}x), identical counters")

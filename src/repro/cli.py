@@ -22,17 +22,13 @@ the fanout histogram and critical-path statistics.
 
 The accuracy experiment honours the same environment variables as the
 benchmark suite (REPRO_TRAIN_SIZE, REPRO_TEST_SIZE, REPRO_BITEXACT,
-REPRO_EVAL_IMAGES, REPRO_MODE, REPRO_TILE_PATCHES).  For full-test-set
+REPRO_EVAL_IMAGES, REPRO_TILE_PATCHES).  For full-test-set
 bit-exact runs (``REPRO_BITEXACT=1`` without ``REPRO_EVAL_IMAGES``), pass
 ``accuracy --tile-patches P`` (or set ``REPRO_TILE_PATCHES``) to stream the
 stochastic convolution in bounded-memory patch tiles.  Every bit-level
-simulation runs on packed streams (64 clock cycles per machine word).
-``table2`` and ``accuracy`` accept ``--mode {auto,counts,streams}`` (or
-``REPRO_MODE``) to choose the adder-tree evaluation mode: ``counts`` runs
-the exact count-domain shortcut (no adder-tree stream tensors), ``streams``
-forces the reference stream reduction, and ``auto`` -- the default -- picks
-counts whenever exact.
-Every mode is bit-identical; the knob trades speed and memory only.
+simulation runs on packed streams (64 clock cycles per machine word), and
+the engines reduce TFF and MUX adder trees in the count domain unless stream
+faults are active.
 ``activity`` runs the PrimeTime-style switching-annotated power
 estimate: it simulates the Table 3 stochastic dot-product netlist against a
 random bit-stream trace and rolls the per-net toggle counts into power;
@@ -55,8 +51,6 @@ from __future__ import annotations
 
 import argparse
 from typing import Optional, Sequence
-
-from .sc import MODES, resolve_mode
 
 from .eval import (
     AccuracyConfig,
@@ -93,17 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_mode(subparser: argparse.ArgumentParser) -> None:
-        # No hard-coded default: an omitted flag defers to REPRO_MODE (then
-        # "auto"), while an explicit flag beats the environment.
-        subparser.add_argument(
-            "--mode", choices=MODES, default=None,
-            help="adder-tree evaluation mode: counts (exact count-domain "
-                 "shortcut), streams (reference stream reduction) or auto "
-                 "(counts whenever exact); bit-identical results either way "
-                 "(default: $REPRO_MODE or auto)",
-        )
-
     table1 = sub.add_parser("table1", help="stochastic multiplier MSE (Table 1)")
     table1.add_argument(
         "--precisions", type=_parse_precisions, default=(8, 4),
@@ -112,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     table2 = sub.add_parser("table2", help="stochastic adder MSE (Table 2)")
     table2.add_argument("--precisions", type=_parse_precisions, default=(8, 4))
-    add_mode(table2)
 
     hardware = sub.add_parser("hardware", help="power / energy / area (Table 3 bottom)")
     hardware.add_argument("--precisions", type=_parse_precisions, default=(8, 7, 6, 5, 4, 3, 2))
@@ -144,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
              "bit-identical for any tile size; default: $REPRO_TILE_PATCHES "
              "or untiled)",
     )
-    add_mode(accuracy)
 
     activity = sub.add_parser(
         "activity",
@@ -243,14 +224,6 @@ def _parse_rates(text: str) -> tuple:
         return parse_rates(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _resolve_mode(arg: Optional[str]) -> str:
-    """CLI wrapper for :func:`repro.sc.resolve_mode`: fail with a clean message."""
-    try:
-        return resolve_mode(arg)
-    except ValueError as exc:
-        raise SystemExit(f"repro: error: {exc}") from exc
 
 
 def _run_activity(args: argparse.Namespace) -> None:
@@ -396,7 +369,6 @@ def _run_faults(args: argparse.Namespace) -> int:
 def _accuracy_config(args: argparse.Namespace) -> AccuracyConfig:
     kwargs = dict(
         include_no_retrain=args.no_retrain_row,
-        mode=_resolve_mode(args.mode),
         tile_patches=args.tile_patches,
     )
     if args.quick:
@@ -431,8 +403,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "table1":
         print(format_table1(run_table1(precisions=args.precisions)))
     elif args.command == "table2":
-        mode = _resolve_mode(args.mode)
-        print(format_table2(run_table2(precisions=args.precisions, mode=mode)))
+        print(format_table2(run_table2(precisions=args.precisions)))
     elif args.command == "hardware":
         if args.activity_traces < 0:
             raise SystemExit("repro: error: --activity-traces must be non-negative")

@@ -23,14 +23,8 @@ from typing import Dict, Sequence
 import numpy as np
 
 from ..bitstream import stream_length
-from ..bitstream.packed import (
-    pack_bits,
-    packed_mux_add,
-    packed_popcount,
-    packed_tff_add,
-)
+from ..bitstream.packed import pack_bits, packed_popcount
 from ..rng import ComparatorSNG, LFSRSource, PseudoRandomSource, SobolSource, VanDerCorputSource
-from ..sc.mode import resolve_mode
 
 __all__ = ["ADDER_CONFIGS", "Table2Result", "adder_mse", "run_table2"]
 
@@ -88,60 +82,36 @@ def _select_bits(config: str, precision: int, length: int, seed: int) -> np.ndar
     return (np.arange(length, dtype=np.int64) & 1).astype(np.uint8)
 
 
-def adder_mse(
-    config: str,
-    precision: int,
-    seed: int = 1,
-    mode: str | None = None,
-) -> float:
+def adder_mse(config: str, precision: int, seed: int = 1) -> float:
     """Exhaustive MSE of one adder configuration at one precision.
 
-    The sweep runs the packed TFF/MUX word kernels over every representable
-    input pair.  Under ``mode="counts"`` (the ``"auto"`` default, see
-    :mod:`repro.sc.mode`) it never materializes the ``(N+1, N+1)`` grid of
-    sum streams: a single TFF adder's output count is exactly
-    ``floor((ones_x + ones_y) / 2)`` and a single MUX adder's is exactly
-    ``popcount(x & ~sel) + popcount(y & sel)``, so the full grid of counts is
-    one outer sum of two length-``N+1`` count vectors -- bit-identical
-    estimates, O(N) instead of O(N^2) stream memory.  ``mode="streams"``
-    forces the reference kernel sweep.
+    The sweep covers every representable input pair without materializing
+    the ``(N+1, N+1)`` grid of sum streams: a single TFF adder's output
+    count is exactly ``floor((ones_x + ones_y) / 2)`` and a single MUX
+    adder's is exactly ``popcount(x & ~sel) + popcount(y & sel)``, so the
+    full grid of counts is one outer sum of two length-``N+1`` count vectors.
     """
     if config not in ADDER_CONFIGS:
         raise ValueError(f"unknown adder config {config!r}; expected {sorted(ADDER_CONFIGS)}")
-    mode = resolve_mode(mode)
     n = stream_length(precision)
     values = np.arange(n + 1, dtype=np.float64) / n
     sng_x, sng_y = _data_generators(config, precision, seed)
     x_words = sng_x.generate_packed(values, n)  # (n+1, W)
     y_words = sng_y.generate_packed(values, n)
 
-    if mode != "streams":
-        if config == "new_tff":
-            # TffAdder with initial_state=0: count = floor((cx + cy) / 2).
-            counts = (
-                packed_popcount(x_words)[:, np.newaxis]
-                + packed_popcount(y_words)[np.newaxis, :]
-            ) >> 1
-        else:
-            select = pack_bits(_select_bits(config, precision, n, seed))
-            counts = (
-                packed_popcount(x_words & ~select)[:, np.newaxis]
-                + packed_popcount(y_words & select)[np.newaxis, :]
-            )
-        estimates = counts / n
+    if config == "new_tff":
+        # TffAdder with initial_state=0: count = floor((cx + cy) / 2).
+        counts = (
+            packed_popcount(x_words)[:, np.newaxis]
+            + packed_popcount(y_words)[np.newaxis, :]
+        ) >> 1
     else:
-        x_all = np.broadcast_to(
-            x_words[:, np.newaxis, :], (n + 1, n + 1, x_words.shape[-1])
+        select = pack_bits(_select_bits(config, precision, n, seed))
+        counts = (
+            packed_popcount(x_words & ~select)[:, np.newaxis]
+            + packed_popcount(y_words & select)[np.newaxis, :]
         )
-        y_all = np.broadcast_to(
-            y_words[np.newaxis, :, :], (n + 1, n + 1, y_words.shape[-1])
-        )
-        if config == "new_tff":
-            sums_words = packed_tff_add(x_all, y_all, n)
-        else:
-            select = pack_bits(_select_bits(config, precision, n, seed))
-            sums_words = packed_mux_add(x_all, y_all, select)
-        estimates = packed_popcount(sums_words) / n
+    estimates = counts / n
     exact = 0.5 * (values[:, np.newaxis] + values[np.newaxis, :])
     return float(np.mean((estimates - exact) ** 2))
 
@@ -150,14 +120,13 @@ def run_table2(
     precisions: Sequence[int] = (8, 4),
     configs: Sequence[str] | None = None,
     seed: int = 1,
-    mode: str | None = None,
 ) -> Table2Result:
     """Reproduce Table 2 for the requested precisions and adder configurations."""
     configs = list(configs) if configs is not None else list(ADDER_CONFIGS)
     mse: Dict[str, Dict[int, float]] = {}
     for config in configs:
         mse[config] = {
-            precision: adder_mse(config, precision, seed=seed, mode=mode)
+            precision: adder_mse(config, precision, seed=seed)
             for precision in precisions
         }
     return Table2Result(mse=mse, precisions=tuple(precisions))

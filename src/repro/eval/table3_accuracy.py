@@ -14,7 +14,7 @@ For every precision the harness produces three rows, mirroring the paper:
 The experiment is CPU-budget-aware: dataset sizes, training epochs and the
 number of bit-exact evaluation images are configurable (environment variables
 ``REPRO_TRAIN_SIZE``, ``REPRO_TEST_SIZE``, ``REPRO_EVAL_IMAGES``,
-``REPRO_BITEXACT``, ``REPRO_TILE_PATCHES``, ``REPRO_MODE``), and the
+``REPRO_BITEXACT``, ``REPRO_TILE_PATCHES``), and the
 stochastic rows default to the calibrated fast emulator validated against
 bit-exact simulation (see :mod:`repro.hybrid.emulation`).  With ``REPRO_BITEXACT=1`` the filter-parallel, tile-streamed
 convolution path (see :mod:`repro.sc.convolution`) lets the stochastic rows
@@ -33,12 +33,7 @@ import numpy as np
 from ..datasets import load_dataset
 from ..hybrid import HybridStochasticBinaryNetwork
 from ..nn import Adam, Sequential, build_lenet5_small, quantize_and_freeze, retrain
-from ..sc import (
-    new_sc_engine,
-    old_sc_engine,
-    resolve_mode,
-    resolve_tile_patches,
-)
+from ..sc import new_sc_engine, old_sc_engine, resolve_tile_patches
 
 __all__ = ["AccuracyConfig", "Table3AccuracyResult", "run_table3_accuracy"]
 
@@ -71,14 +66,6 @@ class AccuracyConfig:
     tile_patches: Optional[int] = None
     #: Soft-threshold level for the stochastic sign activation (fraction of range).
     soft_threshold: float = 0.02
-    #: Adder-tree evaluation mode for the stochastic engines: "counts" (exact
-    #: count-domain shortcut, no adder-tree stream tensors), "streams" (the
-    #: reference stream reduction) or "auto" (counts whenever exact -- TFF and
-    #: MUX trees; see :mod:`repro.sc.mode`).  Bit-identical counters either
-    #: way, so reported rates do not depend on it.  None resolves to the
-    #: REPRO_MODE environment variable, falling back to "auto"; an explicitly
-    #: passed value always wins over the environment.
-    mode: Optional[str] = None
     #: Retrain the binary remainder against a first layer that emulates the
     #: stochastic engine's resolution (input quantization + counter LSBs) for
     #: the stochastic rows, per the paper's "compensate for precision losses
@@ -94,7 +81,6 @@ class AccuracyConfig:
             raise ValueError("sc_mode must be 'emulate' or 'bitexact'")
         if os.environ.get("REPRO_BITEXACT") == "1":
             self.sc_mode = "bitexact"
-        self.mode = resolve_mode(self.mode)
         self.tile_patches = resolve_tile_patches(self.tile_patches)
         if self.sc_eval_images is None:
             env = os.environ.get("REPRO_EVAL_IMAGES")
@@ -207,11 +193,7 @@ def run_table3_accuracy(config: Optional[AccuracyConfig] = None) -> Table3Accura
         ):
             hybrid = HybridStochasticBinaryNetwork(
                 sc_model,
-                engine=engine_factory(
-                    precision,
-                    seed=config.seed + 1,
-                    mode=config.mode,
-                ),
+                engine=engine_factory(precision, seed=config.seed + 1),
                 soft_threshold=config.soft_threshold,
                 seed=config.seed,
                 tile_patches=config.tile_patches,

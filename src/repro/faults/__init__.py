@@ -21,10 +21,9 @@ claim measurable:
 * :mod:`~repro.faults.sweep` -- the accuracy-vs-fault-rate degradation
   experiment behind the ``repro faults`` CLI and ``BENCH_faults.json``.
 
-Engines accept a spec via their ``faults`` field; stream-level faults force
-the stream-domain evaluation (``mode="auto"`` resolves to streams, explicit
-``mode="counts"`` raises) because the count-domain shortcuts assume
-uncorrupted adder-tree inputs.
+Engines accept a spec via their ``faults`` field; while stream-level faults
+are active the engines reduce packed streams, because the count-domain
+shortcuts assume uncorrupted adder-tree inputs.
 """
 
 from .binary import flip_binary_words

@@ -47,7 +47,7 @@ from ..bitstream.packed import (
 )
 from .masks import bernoulli_words, burst_words
 
-__all__ = ["FaultSpec", "FaultPlan", "NetlistFaults", "inject_stream"]
+__all__ = ["FaultSpec", "FaultPlan", "FaultedEngine", "NetlistFaults", "inject_stream"]
 
 # Channel salts: every mask type hashes a disjoint counter space.
 _SALT_FLIP = 1
@@ -128,7 +128,7 @@ class FaultSpec:
 
         Sensor noise and stuck SNG cells act *before* stream generation, so
         they do not by themselves force stream-mask injection (or disable
-        the count-domain engine mode).
+        the engines' count-domain tree reduction).
         """
         return (
             self.flip_rate > 0.0
@@ -209,6 +209,53 @@ class FaultPlan:
         flat = arr.reshape((n_streams, taps, arr.shape[-1]))
         out = packed_apply_faults(flat, stuck0, stuck1, flips, n_bits)
         return out.reshape(arr.shape)
+
+
+class FaultedEngine:
+    """Fault plumbing shared by the dot-product engines.
+
+    Mixed into :class:`~repro.sc.dotproduct.StochasticDotProductEngine` and
+    :class:`~repro.sc.bipolar.BipolarDotProductEngine`, which provide the
+    ``faults`` field (a :class:`FaultSpec` or ``None``) and ``length``.
+    Stream faults are injected into the engines' *input* streams, and they
+    rule out the count-domain tree reductions, which assume uncorrupted tree
+    inputs.
+    """
+
+    def _check_faults(self) -> None:
+        if self.faults is not None and not isinstance(self.faults, FaultSpec):
+            raise TypeError(
+                f"faults must be a FaultSpec or None, got {type(self.faults).__name__}"
+            )
+
+    @property
+    def _stream_faults_active(self) -> bool:
+        """Whether the engine must inject fault masks into input streams."""
+        return self.faults is not None and self.faults.corrupts_streams
+
+    def _uses_count_domain(self, plan) -> bool:
+        """Whether to reduce the adder-tree ``plan`` in the count domain.
+
+        Yes for all-TFF and all-MUX trees without active stream faults;
+        otherwise (OR trees, faulted streams) the packed streams are reduced.
+        """
+        return not self._stream_faults_active and (
+            plan.supports_count_reduction or plan.supports_masked_reduction
+        )
+
+    def apply_faults(self, prepared: np.ndarray, offset: int = 0) -> np.ndarray:
+        """Inject the engine's stream faults into ``prepare_inputs`` output.
+
+        ``offset`` is the global index of the first stream in ``prepared``
+        (tile drivers pass their tile start so any ``tile_patches`` value
+        yields bit-identical faulted streams).  A no-op when no stream fault
+        channel is active.  The engines' ``dot`` methods call this at offset
+        0; callers feeding ``dot_prepared`` or a weight bank directly apply
+        it themselves, so the offset stays under their control.
+        """
+        if not self._stream_faults_active:
+            return prepared
+        return self.faults.plan().apply(prepared, self.length, offset=offset)
 
 
 def inject_stream(

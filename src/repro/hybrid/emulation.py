@@ -33,11 +33,8 @@ positive-minus-negative counter difference) or the rejected
 :class:`~repro.sc.bipolar.BipolarDotProductEngine` (calibrating the single
 counter's offset from the mid-scale decision point ``N/2``), so the Section
 IV-B ablation can also run at full-test-set scale.  Calibration always runs
-the engine's packed bit-exact path under its evaluation ``mode``
-(:mod:`repro.sc.mode`): under the default ``"auto"`` the residual samples
-come from the exact count-domain shortcut (TFF and MUX trees) with
-no adder-tree stream tensors, so calibration speed scales with the count
-path while the measured residuals stay bit-identical to ``mode="streams"``.
+the engine's packed bit-exact path, which reduces TFF and MUX trees in the
+count domain unless stream faults are active.
 
 Validity range: the emulator is calibrated and validated for stream lengths
 of 8 bits and above (precision >= 3).  At 2-bit precision (stream length 4)

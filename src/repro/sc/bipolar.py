@@ -15,14 +15,11 @@ a scaled adder tree entirely in the bipolar domain.  The ablation benchmark
 near the decision point.
 
 Like the unipolar engine, the bipolar engine simulates packed streams (64
-stream bits per uint64 word, word-level XNOR / adder-tree kernels).  It
-honours the engine ``mode`` (:mod:`repro.sc.mode`): in count mode (the
-default, exact for both its adder types) the XNOR products are popcounted
-once and the tree is reduced in the count domain -- integer
-``floor((cx + cy) / 2)`` halving for TFF trees, with odd tap counts padded
-by the exact alternating-stream count ``N / 2``; cached select masks for MUX
-trees -- never materializing an adder-tree stream tensor, bit-identically to
-stream mode.
+stream bits per uint64 word, word-level XNOR / adder-tree kernels) and
+reduces its adder tree in the count domain unless stream faults are active
+-- integer ``floor((cx + cy) / 2)`` halving for TFF trees, with odd tap
+counts padded by the exact alternating-stream count ``N / 2``; cached select
+masks for MUX trees -- never materializing an adder-tree stream tensor.
 
 Sign-tie contract
 -----------------
@@ -46,10 +43,9 @@ import numpy as np
 
 from ..bitstream import bipolar_to_unipolar, stream_length
 from ..bitstream.packed import packed_alternating, packed_popcount, packed_xnor
-from ..faults.spec import FaultSpec
+from ..faults.spec import FaultedEngine, FaultSpec
 from ..rng import ComparatorSNG, SobolSource, VanDerCorputSource
-from .elements.adders import AdderTree, MuxAdder, TffAdder, TreePlan
-from .mode import resolve_mode
+from .elements.adders import AdderTree, MuxAdder, TffAdder
 
 __all__ = ["BipolarDotProductResult", "BipolarDotProductEngine"]
 
@@ -87,7 +83,7 @@ class BipolarDotProductResult:
 
 
 @dataclass
-class BipolarDotProductEngine:
+class BipolarDotProductEngine(FaultedEngine):
     """Fully bipolar stochastic dot-product engine (XNOR multipliers).
 
     Parameters
@@ -98,26 +94,17 @@ class BipolarDotProductEngine:
         ``"tff"`` or ``"mux"`` scaled adders for the reduction tree.
     seed:
         Seed for LFSR/MUX-select sources.
-    mode:
-        ``"counts"`` reduces the adder tree in the count domain (exact for
-        both supported adders -- see the module docstring), ``"streams"``
-        forces the reference stream reduction, ``"auto"`` picks counts.
-        Bit-identical counter values either way.  ``None`` (the default)
-        resolves to the ``REPRO_MODE`` environment variable, falling back to
-        ``"auto"`` (see :func:`repro.sc.dotproduct.resolve_mode`).
     faults:
         Optional :class:`~repro.faults.FaultSpec`.  Stream-level faults are
         injected into the input streams (by :meth:`dot` at offset 0, or by
-        tile drivers via :meth:`apply_faults`) and force the stream-domain
-        evaluation -- ``mode="auto"`` resolves to streams while faults are
-        active, and an explicit ``mode="counts"`` raises, exactly like the
-        unipolar engine.
+        tile drivers via :meth:`apply_faults`) and, exactly like the
+        unipolar engine, make the adder tree reduce packed streams instead
+        of counts.
     """
 
     precision: int = 8
     adder: str = "tff"
     seed: int = 1
-    mode: Optional[str] = None
     faults: Optional[FaultSpec] = None
     _mux_seed_counter: int = field(default=0, repr=False)
 
@@ -126,43 +113,7 @@ class BipolarDotProductEngine:
             raise ValueError("precision must be at least 2 bits")
         if self.adder not in ("tff", "mux"):
             raise ValueError(f"unknown adder {self.adder!r}")
-        self.mode = resolve_mode(self.mode)
-        if self.faults is not None and not isinstance(self.faults, FaultSpec):
-            raise TypeError(
-                f"faults must be a FaultSpec or None, got {type(self.faults).__name__}"
-            )
-        if self.mode == "counts" and self._stream_faults_active:
-            raise ValueError(
-                "mode='counts' is invalid under stream-level fault injection: "
-                "the count-domain shortcuts assume uncorrupted tree inputs -- "
-                "use mode='streams' (or 'auto', which resolves to streams "
-                "while faults are active)"
-            )
-
-    @property
-    def _stream_faults_active(self) -> bool:
-        """Whether the engine must inject fault masks into input streams."""
-        return self.faults is not None and self.faults.corrupts_streams
-
-    @property
-    def _use_count_mode(self) -> bool:
-        # Both supported adders (TFF, MUX) have exact count-domain
-        # evaluations, so only an explicit "streams" -- or active stream
-        # faults, which invalidate the count-domain algebra -- forces
-        # stream tensors.
-        return self.mode != "streams" and not self._stream_faults_active
-
-    def apply_faults(self, prepared: np.ndarray, offset: int = 0) -> np.ndarray:
-        """Inject the engine's stream faults into :meth:`prepare_inputs` output.
-
-        Mirrors :meth:`StochasticDotProductEngine.apply_faults`: ``offset``
-        is the global index of the first stream in ``prepared`` (tile
-        drivers pass their tile start), and the injection is a no-op when no
-        stream fault channel is active.
-        """
-        if not self._stream_faults_active:
-            return prepared
-        return self.faults.plan().apply(prepared, self.length, offset=offset)
+        self._check_faults()
 
     @property
     def length(self) -> int:
@@ -266,57 +217,34 @@ class BipolarDotProductEngine:
         products = packed_xnor(prepared, w_words, self.length)
         taps = products.shape[-2]
         depth = AdderTree().depth(taps)
-        padded_taps = 1 << depth
+        plan = AdderTree(self._adder_factory()).plan(1 << depth)
+        pad_taps = plan.count - taps
+        use_counts = self._uses_count_domain(plan)
 
-        if self._use_count_mode and self.adder == "tff":
-            # Exact count shortcut: popcount the XNOR products once and
-            # halve integer counts level by level.  Odd tap counts are
-            # padded with the *count* of the alternating bipolar-zero pad
-            # stream -- exactly N/2 ones -- instead of the stream itself.
-            counts = self._tff_tree_counts(
-                packed_popcount(products), depth, padded_taps
-            )
-            return BipolarDotProductResult(
-                count=counts, length=self.length, tree_scale=1 << depth
-            )
-
-        # Pad the tap axis to a power of two with bipolar-zero (density 0.5)
-        # streams: an all-zeros pad would encode -1 and bias the sum.
-        if padded_taps != taps:
-            pad = np.broadcast_to(
-                packed_alternating(self.length),
-                products.shape[:-2] + (padded_taps - taps, products.shape[-1]),
-            )
-            products = np.concatenate([products, pad], axis=-2)
-
-        plan = AdderTree(self._adder_factory()).plan(padded_taps)
-        if self._use_count_mode:
-            counts = plan.masked_counts_packed(products, self.length)
+        if use_counts and plan.supports_count_reduction:
+            # TFF trees halve integer leaf counts.  Each missing leaf is the
+            # alternating bipolar-zero pad stream, which holds exactly N / 2
+            # ones (N = 2**precision is even), so its count stands in for it.
+            leaf_counts = packed_popcount(products)
+            if pad_taps:
+                pad = np.full(
+                    leaf_counts.shape[:-1] + (pad_taps,), self.length // 2, dtype=np.int64
+                )
+                leaf_counts = np.concatenate([leaf_counts, pad], axis=-1)
+            counts = plan.reduce_counts(leaf_counts)
         else:
-            counts = packed_popcount(plan.reduce_packed(products, self.length))
+            # Pad the tap axis to a power of two with bipolar-zero (density
+            # 0.5) streams: an all-zeros pad would encode -1 and bias the sum.
+            if pad_taps:
+                pad = np.broadcast_to(
+                    packed_alternating(self.length),
+                    products.shape[:-2] + (pad_taps, products.shape[-1]),
+                )
+                products = np.concatenate([products, pad], axis=-2)
+            if use_counts:
+                counts = plan.masked_counts_packed(products, self.length)
+            else:
+                counts = packed_popcount(plan.reduce_packed(products, self.length))
         return BipolarDotProductResult(
             count=counts, length=self.length, tree_scale=1 << depth
         )
-
-    def _tff_tree_counts(
-        self, leaf_counts: np.ndarray, depth: int, padded_taps: int
-    ) -> np.ndarray:
-        """Count-domain all-TFF reduction with exact bipolar-zero padding.
-
-        ``leaf_counts`` holds the per-tap XNOR product ones-counts
-        ``(..., taps)``.  Missing leaves up to ``padded_taps`` contribute
-        exactly ``N / 2`` ones each (the alternating 0101... pad stream has
-        one 1 per bit pair and ``N = 2**precision`` is even), so the padded
-        integer reduction is bit-identical to reducing the padded streams.
-        """
-        taps = leaf_counts.shape[-1]
-        if padded_taps != taps:
-            padded = np.full(
-                leaf_counts.shape[:-1] + (padded_taps,),
-                self.length // 2,
-                dtype=np.int64,
-            )
-            padded[..., :taps] = leaf_counts
-            leaf_counts = padded
-        plan = TreePlan(TffAdder, padded_taps)
-        return plan.reduce_counts(leaf_counts)

@@ -33,15 +33,11 @@ is stateless and the weight bank (select streams included) is built once and
 reused, so any tiling -- including tile sizes that do not divide the patch
 count -- produces counts bit-identical to one untiled pass.
 
-Evaluation mode
+Evaluation path
 ---------------
-The layer inherits the engine's evaluation mode (:mod:`repro.sc.mode`):
-under ``mode="counts"`` (the ``"auto"`` default for TFF and MUX adder
-trees) the per-tile reduction never materializes adder-tree stream tensors
--- TFF trees reduce integer counts per level and MUX trees apply cached
-select-ownership masks -- while ``mode="streams"`` forces the reference
-stream reduction.  Both produce bit-identical counters, so the mode is
-purely a speed/memory knob for Table 3-scale runs.
+Each tile's adder trees reduce in the count domain when the engine's trees
+are all-TFF or all-MUX and no stream fault is active, and as packed streams
+otherwise (OR trees, faulted streams).
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..bitstream import stream_length
 from ..bitstream.packed import packed_popcount
-from ..faults.spec import FaultSpec
+from ..faults.spec import FaultedEngine, FaultSpec
 from ..rng import (
     ComparatorSNG,
     LFSRSource,
@@ -42,12 +42,8 @@ from ..rng import (
 )
 from .elements.adders import AdderTree, MuxAdder, OrAdder, TffAdder, TreePlan
 from .elements.converters import sign_from_counts
-from .mode import MODES, resolve_mode, validate_mode
 
 __all__ = [
-    "MODES",
-    "resolve_mode",
-    "validate_mode",
     "split_weights",
     "stochastic_dot_product_packed",
     "DotProductResult",
@@ -56,10 +52,6 @@ __all__ = [
     "new_sc_engine",
     "old_sc_engine",
 ]
-
-# Mode selection lives in repro.sc.mode; it is re-exported here because the
-# engines are its primary consumers and existing callers import it from
-# this module.
 
 
 def split_weights(weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -137,10 +129,11 @@ class PreparedWeights:
     over shared input streams.
 
     The tree plan's adders are instantiated filter-major (filter 0's positive
-    tree, then its negative tree, then filter 1, ...), exactly the order the
-    per-filter :meth:`~StochasticDotProductEngine.dot_prepared` loop used, so
-    stateful adder factories (per-node MUX select seeds) keep producing
-    bit-identical counts -- including across successive calls on one engine.
+    tree, then its negative tree, then filter 1, ...), exactly the order a
+    loop of single-filter :meth:`~StochasticDotProductEngine.dot_prepared`
+    calls uses, so stateful adder factories (per-node MUX select seeds) keep
+    producing bit-identical counts -- including across successive calls on
+    one engine.
     Because the plan caches its select streams, evaluating inputs tile by
     tile is bit-identical to one untiled pass.
     """
@@ -160,14 +153,13 @@ class PreparedWeights:
         #: Weight streams with the filter axis leading: ``(filters, 2, taps, .)``
         #: where index 0 of the second axis is the positive tree's streams.
         self.weight_streams = np.stack([w_pos, w_neg], axis=1)
-        # One tree lane per (filter, sign) pair, laid out filter-major like
-        # the sequential dot_prepared calls the bank replaces.
+        # One tree lane per (filter, sign) pair, laid out filter-major.
         self.plan: TreePlan = AdderTree(engine._adder_factory()).plan(
             self.taps, lanes=2 * self.filters
         )
-        # MUX count mode folds the leaf ownership masks into the weight
-        # streams once (lazily), so per-tile evaluation is a masked AND/OR
-        # accumulate plus one popcount -- no adder-tree stream tensor.
+        # The MUX count-domain path folds the leaf ownership masks into the
+        # weight streams once (lazily), so per-tile evaluation is a masked
+        # AND/OR accumulate plus one popcount -- no adder-tree stream tensor.
         self._masked_weights: Optional[np.ndarray] = None
 
     @property
@@ -181,7 +173,7 @@ class PreparedWeights:
         Shape ``(2 * filters, taps, W)`` (lane-major like the plan).
         Because the masks of one lane are disjoint across leaves, the lane's
         root stream is ``OR over taps of (input & masked_weight)`` and its
-        count one popcount -- the MUX count-mode kernel.
+        count one popcount -- the MUX count-domain kernel.
         """
         if self._masked_weights is None:
             masks = self.plan.leaf_masks(self.n_bits, packed=True)
@@ -197,15 +189,12 @@ class PreparedWeights:
         ``prepared`` is the output of
         :meth:`StochasticDotProductEngine.prepare_inputs`, shape
         ``(..., taps, W)``; returns ``(positive, negative)`` int64 count
-        arrays of shape ``(..., filters)``, bit-identical to per-filter
-        :meth:`~StochasticDotProductEngine.dot_prepared` calls.
+        arrays of shape ``(..., filters)``.
 
-        The engine's :attr:`~StochasticDotProductEngine.mode` selects the
-        evaluation: in count mode (the default whenever exact) TFF trees
-        reduce integer leaf counts and MUX trees apply the cached select
-        masks -- neither materializes an adder-tree stream tensor -- while
-        stream mode runs the reference level-by-level reduction.  Every path
-        produces identical counts.
+        All-TFF and all-MUX trees without active stream faults reduce in the
+        count domain (integer halving, cached select masks) and never
+        materialize an adder-tree stream tensor; OR trees and faulted
+        streams reduce the packed streams level by level.
         """
         x = np.asarray(prepared)
         if x.ndim < 2 or x.shape[-2] != self.taps:
@@ -213,9 +202,9 @@ class PreparedWeights:
                 f"prepared inputs must have {self.taps} taps on axis -2, "
                 f"got shape {x.shape}"
             )
-        use_counts = self.engine._use_count_mode(self.plan)
+        use_counts = self.engine._uses_count_domain(self.plan)
         if use_counts and not self.plan.supports_count_reduction:
-            # All-MUX count mode: accumulate the select-masked products
+            # All-MUX count domain: accumulate the select-masked products
             # tap by tap (bounded temporaries) and popcount once per lane.
             masked_w = self._masked_weight_bank()
             acc = np.zeros(
@@ -246,12 +235,12 @@ class PreparedWeights:
     def __repr__(self) -> str:
         return (
             f"PreparedWeights(filters={self.filters}, taps={self.taps}, "
-            f"n_bits={self.n_bits}, mode={self.engine.mode!r})"
+            f"n_bits={self.n_bits})"
         )
 
 
 @dataclass
-class StochasticDotProductEngine:
+class StochasticDotProductEngine(FaultedEngine):
     """A configurable stochastic dot-product engine.
 
     Parameters
@@ -268,28 +257,19 @@ class StochasticDotProductEngine:
         ``"lowdisc"`` (this work) or ``"lfsr"`` (old designs).
     seed:
         Seed for LFSR-based and MUX-select sources.
-    mode:
-        ``"counts"`` evaluates the adder tree in the count domain -- integer
-        halving for TFF trees, cached select masks for MUX trees -- and
-        never materializes a tree stream tensor; ``"streams"`` forces the
-        reference stream reduction; ``"auto"`` (the resolution default)
-        picks counts whenever the configuration admits the exact shortcut
-        (TFF and MUX trees do, OR trees do not).  Every mode produces
-        bit-identical counter values; the choice only affects speed and
-        memory.  ``None`` resolves to the ``REPRO_MODE`` environment
-        variable, falling back to ``"auto"`` (see :func:`resolve_mode`).
     faults:
         Optional :class:`~repro.faults.FaultSpec` describing the fault
         environment.  Stream-level faults (flips, stuck-at, bursts) are
         injected into the *input* streams -- by :meth:`dot` /
         :meth:`dot_filters` directly, or by tile drivers calling
-        :meth:`apply_faults` with their tile offset -- and force the
-        stream-domain evaluation: the count-domain shortcuts assume
-        uncorrupted tree inputs, so ``mode="auto"`` resolves to streams
-        whenever stream faults are active and an explicit ``mode="counts"``
-        raises.  ``sng_stuck_cells`` additionally defects the LFSR of
-        LFSR-based input SNGs.  Injection is seed-deterministic and
-        bit-identical across tilings and repeated calls.
+        :meth:`apply_faults` with their tile offset.  ``sng_stuck_cells``
+        additionally defects the LFSR of LFSR-based input SNGs.  Injection
+        is seed-deterministic and bit-identical across tilings and repeated
+        calls.
+
+    The adder tree is reduced in the count domain when it is all-TFF or
+    all-MUX and no stream fault channel is active, and as packed streams
+    otherwise; both give the counts the hardware's streams would.
     """
 
     precision: int = 8
@@ -297,7 +277,6 @@ class StochasticDotProductEngine:
     input_generator: str = "ramp"
     weight_generator: str = "lowdisc"
     seed: int = 1
-    mode: Optional[str] = None
     faults: Optional[FaultSpec] = None
     _mux_seed_counter: int = field(default=0, repr=False)
 
@@ -310,61 +289,7 @@ class StochasticDotProductEngine:
             raise ValueError(f"unknown input generator {self.input_generator!r}")
         if self.weight_generator not in ("lowdisc", "lfsr"):
             raise ValueError(f"unknown weight generator {self.weight_generator!r}")
-        self.mode = resolve_mode(self.mode)
-        if self.mode == "counts" and self.adder == "or":
-            raise ValueError(
-                "mode='counts' is exact only for TFF and MUX adder trees; "
-                "the OR adder's output is position-dependent -- use "
-                "mode='streams' (or 'auto')"
-            )
-        if self.faults is not None and not isinstance(self.faults, FaultSpec):
-            raise TypeError(
-                f"faults must be a FaultSpec or None, got {type(self.faults).__name__}"
-            )
-        if self.mode == "counts" and self._stream_faults_active:
-            raise ValueError(
-                "mode='counts' is invalid under stream-level fault injection: "
-                "the count-domain shortcuts assume uncorrupted tree inputs -- "
-                "use mode='streams' (or 'auto', which resolves to streams "
-                "while faults are active)"
-            )
-
-    @property
-    def _stream_faults_active(self) -> bool:
-        """Whether the engine must inject fault masks into input streams."""
-        return self.faults is not None and self.faults.corrupts_streams
-
-    def apply_faults(self, prepared: np.ndarray, offset: int = 0) -> np.ndarray:
-        """Inject the engine's stream faults into :meth:`prepare_inputs` output.
-
-        ``offset`` is the global index of the first stream in ``prepared``
-        (tile drivers pass their tile start so any ``tile_patches`` value
-        yields bit-identical faulted streams).  A no-op when no stream fault
-        channel is active.  :meth:`dot` and :meth:`dot_filters` call this
-        internally at offset 0; callers feeding :meth:`dot_prepared` /
-        :meth:`dot_filters_prepared` directly apply it themselves so the
-        offset (and the once-per-tile injection point) stays under their
-        control.
-        """
-        if not self._stream_faults_active:
-            return prepared
-        return self.faults.plan().apply(prepared, self.length, offset=offset)
-
-    def _use_count_mode(self, plan: TreePlan) -> bool:
-        """Whether ``plan`` should reduce in the count domain under :attr:`mode`."""
-        if self.mode == "streams":
-            return False
-        if self._stream_faults_active:
-            # Faulted streams invalidate the count-domain algebra (auto =>
-            # streams); explicit counts was already rejected at init.
-            return False
-        supported = plan.supports_count_reduction or plan.supports_masked_reduction
-        if not supported and self.mode == "counts":
-            raise ValueError(
-                "mode='counts' is exact only for all-TFF or all-MUX adder "
-                "trees; this plan mixes or lacks such levels"
-            )
-        return supported
+        self._check_faults()
 
     # ------------------------------------------------------------------ #
     # stream generation
@@ -432,25 +357,21 @@ class StochasticDotProductEngine:
     def dot_prepared(
         self, prepared: np.ndarray, weights: np.ndarray
     ) -> DotProductResult:
-        """Dot product of :meth:`prepare_inputs` output with fresh weight streams.
+        """Dot product of :meth:`prepare_inputs` output with one ``(taps,)`` kernel.
 
-        Honours :attr:`mode`: the count-domain path never builds the tree's
-        stream tensors, with counter values bit-identical to the stream path.
+        A one-filter :meth:`dot_filters_prepared`: the bank's two tree lanes
+        are built in the same positive-then-negative order, so counts (and
+        the advance of MUX select seeds) match a column of the filter bank.
         """
-        x = np.asarray(prepared)
-        w_pos, w_neg = self.weight_words(weights)
-        taps = x.shape[-2]
-        # Both plans are instantiated through one shared factory before any
-        # reduction runs (positive tree first), so stateful factories
-        # (per-node MUX select seeds) enumerate their nodes in a fixed order.
-        tree = AdderTree(self._adder_factory())
-        plan_pos = tree.plan(taps)
-        plan_neg = tree.plan(taps)
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.ndim != 1:
+            raise ValueError(f"weights must have shape (taps,), got {weights.shape}")
+        result = self.dot_filters_prepared(prepared, weights[np.newaxis])
         return DotProductResult(
-            positive_count=self._plan_counts(x & w_pos, plan_pos),
-            negative_count=self._plan_counts(x & w_neg, plan_neg),
+            positive_count=result.positive_count[..., 0],
+            negative_count=result.negative_count[..., 0],
             length=self.length,
-            tree_scale=plan_pos.tree_scale,
+            tree_scale=result.tree_scale,
         )
 
     def prepare_weights(self, weights: np.ndarray) -> PreparedWeights:
@@ -459,8 +380,7 @@ class StochasticDotProductEngine:
         The returned :class:`PreparedWeights` evaluates every filter's
         positive and negative dot products in one vectorized pass and is
         reusable across input tiles; combined with :meth:`prepare_inputs` it
-        replaces a loop of per-filter :meth:`dot_prepared` calls with
-        bit-identical counts.
+        gives the counts of a loop of per-filter :meth:`dot_prepared` calls.
         """
         return PreparedWeights(self, weights)
 
@@ -540,19 +460,10 @@ class StochasticDotProductEngine:
             )
         return self.dot_prepared(self.apply_faults(self.prepare_inputs(x)), weights)
 
-    def _plan_counts(self, products: np.ndarray, plan: TreePlan) -> np.ndarray:
-        """Root ones-counts of ``(..., k, W)`` leaf products under :attr:`mode`."""
-        if self._use_count_mode(plan):
-            if plan.supports_count_reduction:
-                return plan.reduce_counts(packed_popcount(products))
-            return plan.masked_counts_packed(products, self.length)
-        return packed_popcount(plan.reduce_packed(products, self.length))
-
 
 def new_sc_engine(
     precision: int,
     seed: int = 1,
-    mode: Optional[str] = None,
     faults: Optional[FaultSpec] = None,
 ) -> StochasticDotProductEngine:
     """The paper's proposed configuration: TFF adder, ramp input, low-discrepancy weights."""
@@ -562,7 +473,6 @@ def new_sc_engine(
         input_generator="ramp",
         weight_generator="lowdisc",
         seed=seed,
-        mode=mode,
         faults=faults,
     )
 
@@ -570,7 +480,6 @@ def new_sc_engine(
 def old_sc_engine(
     precision: int,
     seed: int = 1,
-    mode: Optional[str] = None,
     faults: Optional[FaultSpec] = None,
 ) -> StochasticDotProductEngine:
     """The conventional configuration used as the "Old SC" baseline in Table 3.
@@ -584,6 +493,5 @@ def old_sc_engine(
         input_generator="lfsr",
         weight_generator="lfsr",
         seed=seed,
-        mode=mode,
         faults=faults,
     )

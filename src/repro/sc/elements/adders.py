@@ -45,8 +45,8 @@ untiled pass.
 Count-domain shortcuts
 ----------------------
 Two tree families admit an *exact* count-domain evaluation that never
-materializes a node's output stream (the engines' ``mode="counts"`` path,
-see :mod:`repro.sc.mode`):
+materializes a node's output stream (the path the engines take whenever no
+stream fault is active):
 
 * **all-TFF trees** -- every node's output ones-count is exactly
   ``floor/ceil((ones_x + ones_y) / 2)``, so :meth:`TreePlan.reduce_counts`
@@ -56,7 +56,7 @@ see :mod:`repro.sc.mode`):
   pushing the cached select streams down the tree yields one disjoint
   *ownership mask* per leaf (:meth:`TreePlan.leaf_masks`) and the root count
   is a single masked popcount over the leaf streams
-  (:meth:`TreePlan.masked_counts_bits` / :meth:`TreePlan.masked_counts_packed`).
+  (:meth:`TreePlan.masked_counts_packed`).
 
 Both shortcuts are bit-identical to reducing the streams; OR trees are
 position-dependent in a way neither shortcut captures and always reduce
@@ -550,33 +550,18 @@ class TreePlan:
         self._mask_cache[key] = masks
         return masks
 
-    def _masked_root(self, leaves: np.ndarray, length: int, packed: bool) -> np.ndarray:
-        """OR of ``leaf & mask`` over the leaf axis: the root stream itself."""
-        arr = self._check_input(leaves, "W" if packed else "N")
-        masks = self.leaf_masks(length, packed)
-        return np.bitwise_or.reduce(arr & masks, axis=-2)
-
-    def masked_counts_bits(self, bits: np.ndarray) -> np.ndarray:
-        """Root ones-counts of an all-MUX tree from unpacked leaf streams.
-
-        ``bits`` has shape ``(..., lanes, k, N)`` (lane axis only when
-        ``lanes > 1``); returns int64 counts ``(..., lanes)`` (scalar lane
-        axis dropped), guaranteed bit-identical to popcounting
-        :meth:`reduce_bits` output -- no tree stream is ever built.
-        """
-        arr = np.asarray(bits)
-        if arr.dtype != np.uint8:
-            arr = arr.astype(np.uint8)
-        counts = self._masked_root(arr, arr.shape[-1], packed=False).sum(
-            axis=-1, dtype=np.int64
-        )
-        return counts[..., 0] if self.lanes == 1 else counts
-
     def masked_counts_packed(self, words: np.ndarray, n_bits: int) -> np.ndarray:
-        """Packed-word counterpart of :meth:`masked_counts_bits`."""
-        counts = packed_popcount(
-            self._masked_root(np.asarray(words), n_bits, packed=True)
-        )
+        """Root ones-counts of an all-MUX tree from packed leaf streams.
+
+        ``words`` has shape ``(..., lanes, k, W)`` (lane axis only when
+        ``lanes > 1``); returns int64 counts ``(..., lanes)`` (scalar lane
+        axis dropped), bit-identical to popcounting :meth:`reduce_packed`
+        output -- no tree stream is ever built.
+        """
+        arr = self._check_input(np.asarray(words), "W")
+        # The OR of ``leaf & mask`` over the leaf axis is the root stream.
+        root = np.bitwise_or.reduce(arr & self.leaf_masks(n_bits, packed=True), axis=-2)
+        counts = packed_popcount(root)
         return counts[..., 0] if self.lanes == 1 else counts
 
     def reduce_bits(self, bits: np.ndarray) -> np.ndarray:

@@ -1,14 +1,16 @@
-"""Byte-per-bit reference implementations: the test-only oracle.
+"""Stream-level, byte-per-bit reference implementations: the test-only oracle.
 
 Every simulator in ``repro`` runs on packed streams (64 clock cycles per
-``uint64`` word).  This module keeps the straightforward one-byte-per-bit
-evaluation of the same circuits so the differential and property suites can
-check the packed paths against an independent reference:
+``uint64`` word), and the engines reduce TFF and MUX adder trees in the
+count domain.  This module keeps the straightforward evaluation of the same
+circuits -- one byte per bit, every adder-tree node's output *stream*
+materialized -- so the differential and property suites can check the
+library against an independent reference:
 
 * unipolar engine -- :func:`dot`, :func:`dot_prepared`, :func:`dot_filters`
-  and :class:`BitBank` (the byte-per-bit twin of
+  and :class:`BitBank` (the stream-level twin of
   :class:`repro.sc.dotproduct.PreparedWeights`, reducing through
-  :meth:`TreePlan.reduce_bits` / :meth:`TreePlan.masked_counts_bits`);
+  :meth:`TreePlan.reduce_bits`);
 * bipolar engine -- XNOR products with alternating-pad tree reduction
   (:func:`dot` dispatches on the engine type);
 * stream faults -- :func:`apply_fault_plan`, the fault composition
@@ -18,10 +20,13 @@ check the packed paths against an independent reference:
   loop behind the simulator's argument validation;
 * Tables 1 and 2 -- :func:`multiplier_mse` / :func:`adder_mse` on bits.
 
-Every function takes the same engine / layer / netlist objects as the packed
-code and honours the engine ``mode``, so a test parametrized over
-``IMPLS = ("packed", "unpacked")`` runs identical inputs through both and
-compares with :func:`evaluate`.
+Every function takes the same engine / layer / netlist objects as the
+library and never asks the engine which path to take, so a test
+parametrized over ``IMPLS = ("packed", "unpacked")`` runs identical inputs
+through both and compares with :func:`evaluate`.  The engine twins also take
+``packed=True``: the same stream-level reduction on packed words
+(:meth:`TreePlan.reduce_packed`), the path the engines keep for OR trees and
+faulted streams.
 
 Run as a script, ``PYTHONPATH=src python tests/oracle.py <repro CLI
 arguments>`` runs the ``repro`` command line with every bit-level simulator
@@ -38,6 +43,7 @@ from typing import Callable
 import numpy as np
 
 from repro.bitstream import stream_length, unpack_bits
+from repro.bitstream.packed import packed_alternating, packed_popcount, packed_xnor
 from repro.eval.table2 import ADDER_CONFIGS, _data_generators, _select_bits
 from repro.netlist.simulator import (
     _batch_setup,
@@ -53,7 +59,6 @@ from repro.sc.dotproduct import DotProductResult
 from repro.sc.elements.adders import AdderTree, TffAdder, TreePlan, mux_add, tff_add
 from repro.sc.elements.converters import count_ones
 from repro.sc.elements.multipliers import xnor_multiply
-from repro.sc.mode import resolve_mode
 from repro.utils.windows import extract_patches, patches_to_map
 
 #: Parametrize values of the differential suites: the packed code under test
@@ -93,9 +98,22 @@ def apply_faults(engine, bits: np.ndarray, offset: int = 0) -> np.ndarray:
     return apply_fault_plan(engine.faults.plan(), bits, offset)
 
 
-def input_bits(engine, values: np.ndarray, offset: int = 0) -> np.ndarray:
-    """Faulted byte-per-bit input streams: ``prepare_inputs`` + ``apply_faults``."""
+def input_bits(engine, values: np.ndarray, offset: int = 0, packed: bool = False):
+    """Faulted input streams: ``prepare_inputs`` + ``apply_faults``.
+
+    Byte-per-bit by default; ``packed=True`` returns the engine's own packed
+    words.
+    """
+    if packed:
+        return engine.apply_faults(engine.prepare_inputs(values), offset)
     return apply_faults(engine, engine.input_streams(values), offset)
+
+
+def root_counts(plan: TreePlan, products: np.ndarray, n_bits: int, packed: bool):
+    """Ones-counts of the root streams of ``plan`` over ``(..., k, N|W)`` leaves."""
+    if packed:
+        return packed_popcount(plan.reduce_packed(products, n_bits))
+    return count_ones(plan.reduce_bits(products))
 
 
 # --------------------------------------------------------------------------- #
@@ -116,48 +134,55 @@ def stochastic_dot_product(
     return count_ones(AdderTree(adder_factory).reduce(products))
 
 
-def plan_counts(engine, products: np.ndarray, plan: TreePlan) -> np.ndarray:
-    """Root ones-counts of ``(..., k, N)`` leaf products under ``engine.mode``."""
-    if engine._use_count_mode(plan):
-        if plan.supports_count_reduction:
-            return plan.reduce_counts(count_ones(products))
-        return plan.masked_counts_bits(products)
-    return count_ones(plan.reduce_bits(products))
-
-
 def dot_prepared(
-    engine: StochasticDotProductEngine, x_bits: np.ndarray, weights: np.ndarray
+    engine: StochasticDotProductEngine,
+    x_bits: np.ndarray,
+    weights: np.ndarray,
+    packed: bool = False,
 ) -> DotProductResult:
-    """Byte-per-bit twin of ``engine.dot_prepared`` on ``(..., k, N)`` input bits."""
-    x = np.asarray(x_bits).astype(np.uint8)
-    w_pos, w_neg = engine.weight_streams(weights)
+    """Stream-level twin of ``engine.dot_prepared`` on ``(..., k, N)`` input bits.
+
+    Builds a positive and a negative tree plan in turn (the per-filter
+    stream path the filter bank replaced); ``packed=True`` takes packed
+    input words and reduces them with :meth:`TreePlan.reduce_packed`.
+    """
+    x = np.asarray(x_bits) if packed else np.asarray(x_bits).astype(np.uint8)
+    w_pos, w_neg = (engine.weight_words if packed else engine.weight_streams)(weights)
     taps = x.shape[-2]
     tree = AdderTree(engine._adder_factory())
     plan_pos = tree.plan(taps)
     plan_neg = tree.plan(taps)
     return DotProductResult(
-        positive_count=plan_counts(engine, x & w_pos, plan_pos),
-        negative_count=plan_counts(engine, x & w_neg, plan_neg),
+        positive_count=root_counts(plan_pos, x & w_pos, engine.length, packed),
+        negative_count=root_counts(plan_neg, x & w_neg, engine.length, packed),
         length=engine.length,
         tree_scale=plan_pos.tree_scale,
     )
 
 
 class BitBank:
-    """Byte-per-bit twin of :class:`repro.sc.dotproduct.PreparedWeights`.
+    """Stream-level twin of :class:`repro.sc.dotproduct.PreparedWeights`.
 
-    Generates its own weight bits (``engine.weight_streams``) and its own
+    Generates its own weight streams (``engine.weight_streams``, or
+    ``engine.weight_words`` with ``packed=True``) and its own
     lane-per-``(filter, sign)`` tree plan, instantiated filter-major exactly
-    like the packed bank, so stateful MUX select seeds line up when the
-    packed and oracle banks are built on twin engines.
+    like the library's bank, so stateful MUX select seeds line up when the
+    two banks are built on twin engines.
     """
 
-    def __init__(self, engine: StochasticDotProductEngine, weights: np.ndarray) -> None:
+    def __init__(
+        self,
+        engine: StochasticDotProductEngine,
+        weights: np.ndarray,
+        packed: bool = False,
+    ) -> None:
         weights = np.asarray(weights, dtype=np.float64)
         self.engine = engine
+        self.packed = packed
         self.filters, self.taps = weights.shape
         self.n_bits = engine.length
-        w_pos, w_neg = engine.weight_streams(weights)
+        make = engine.weight_words if packed else engine.weight_streams
+        w_pos, w_neg = make(weights)
         self.weight_streams = np.stack([w_pos, w_neg], axis=1)
         self.plan = AdderTree(engine._adder_factory()).plan(
             self.taps, lanes=2 * self.filters
@@ -169,32 +194,23 @@ class BitBank:
 
     def counts(self, x_bits: np.ndarray):
         """Positive and negative counts ``(..., filters)`` for ``(..., taps, N)`` bits."""
-        x = np.asarray(x_bits).astype(np.uint8)
-        lanes = 2 * self.filters
-        flat_w = self.weight_streams.reshape(lanes, self.taps, self.n_bits)
-        use_counts = self.engine._use_count_mode(self.plan)
-        if use_counts and not self.plan.supports_count_reduction:
-            masked_w = flat_w & self.plan.leaf_masks(self.n_bits, packed=False)
-            acc = np.zeros(x.shape[:-2] + (lanes, self.n_bits), dtype=np.uint8)
-            for t in range(self.taps):
-                acc |= x[..., t, :][..., np.newaxis, :] & masked_w[:, t, :]
-            flat_counts = acc.sum(axis=-1, dtype=np.int64)
-        else:
-            products = x[..., np.newaxis, :, :] & flat_w
-            if use_counts:
-                flat_counts = self.plan.reduce_counts(count_ones(products))
-            else:
-                flat_counts = count_ones(self.plan.reduce_bits(products))
+        x = np.asarray(x_bits) if self.packed else np.asarray(x_bits).astype(np.uint8)
+        flat_w = self.weight_streams.reshape((2 * self.filters, self.taps, -1))
+        products = x[..., np.newaxis, :, :] & flat_w
+        flat_counts = root_counts(self.plan, products, self.n_bits, self.packed)
         stacked = flat_counts.reshape(flat_counts.shape[:-1] + (self.filters, 2))
         return stacked[..., 0], stacked[..., 1]
 
 
 def dot_filters(
-    engine: StochasticDotProductEngine, x: np.ndarray, weights: np.ndarray
+    engine: StochasticDotProductEngine,
+    x: np.ndarray,
+    weights: np.ndarray,
+    packed: bool = False,
 ) -> DotProductResult:
-    """Byte-per-bit twin of ``engine.dot_filters``: counts shaped ``(..., filters)``."""
-    bank = BitBank(engine, weights)
-    pos, neg = bank.counts(input_bits(engine, np.asarray(x, dtype=np.float64)))
+    """Stream-level twin of ``engine.dot_filters``: counts shaped ``(..., filters)``."""
+    bank = BitBank(engine, weights, packed)
+    pos, neg = bank.counts(input_bits(engine, np.asarray(x, dtype=np.float64), packed=packed))
     return DotProductResult(
         positive_count=pos,
         negative_count=neg,
@@ -207,45 +223,46 @@ def dot_filters(
 # bipolar engine
 # --------------------------------------------------------------------------- #
 def bipolar_dot_prepared(
-    engine: BipolarDotProductEngine, x_bits: np.ndarray, weights: np.ndarray
+    engine: BipolarDotProductEngine,
+    x_bits: np.ndarray,
+    weights: np.ndarray,
+    packed: bool = False,
 ) -> BipolarDotProductResult:
-    """Byte-per-bit twin of ``BipolarDotProductEngine.dot_prepared``."""
+    """Stream-level twin of ``BipolarDotProductEngine.dot_prepared``.
+
+    Pads the XNOR products to a power of two with alternating 0101...
+    (bipolar-zero) streams and reduces the padded streams.
+    """
     engine._mux_seed_counter = 0
-    w_bits = engine.weight_streams(np.asarray(weights, dtype=np.float64))
-    products = np.asarray(xnor_multiply(x_bits, w_bits))
+    weights = np.asarray(weights, dtype=np.float64)
+    if packed:
+        products = packed_xnor(x_bits, engine.weight_words(weights), engine.length)
+        zero_value = packed_alternating(engine.length)
+    else:
+        products = np.asarray(xnor_multiply(x_bits, engine.weight_streams(weights)))
+        zero_value = (np.arange(engine.length) % 2 == 0).astype(np.uint8)
     taps = products.shape[-2]
     depth = AdderTree().depth(taps)
     padded_taps = 1 << depth
-
-    if engine._use_count_mode and engine.adder == "tff":
-        counts = engine._tff_tree_counts(count_ones(products), depth, padded_taps)
-        return BipolarDotProductResult(
-            count=counts, length=engine.length, tree_scale=1 << depth
-        )
-
-    # Bipolar-zero (alternating 0101...) pad streams up to a power of two.
     if padded_taps != taps:
-        pad_shape = products.shape[:-2] + (padded_taps - taps, engine.length)
-        zero_value = np.zeros(pad_shape, dtype=np.uint8)
-        zero_value[..., ::2] = 1
-        products = np.concatenate([products, zero_value], axis=-2)
-
+        pad = np.broadcast_to(
+            zero_value, products.shape[:-2] + (padded_taps - taps, zero_value.shape[-1])
+        )
+        products = np.concatenate([products, pad], axis=-2)
     plan = AdderTree(engine._adder_factory()).plan(padded_taps)
-    if engine._use_count_mode:
-        counts = plan.masked_counts_bits(products)
-    else:
-        counts = count_ones(plan.reduce_bits(products))
     return BipolarDotProductResult(
-        count=counts, length=engine.length, tree_scale=1 << depth
+        count=root_counts(plan, products, engine.length, packed),
+        length=engine.length,
+        tree_scale=1 << depth,
     )
 
 
-def dot(engine, x: np.ndarray, weights: np.ndarray):
-    """Byte-per-bit twin of ``engine.dot`` for either engine type."""
-    x = np.asarray(x, dtype=np.float64)
+def dot(engine, x: np.ndarray, weights: np.ndarray, packed: bool = False):
+    """Stream-level twin of ``engine.dot`` for either engine type."""
+    x_bits = input_bits(engine, np.asarray(x, dtype=np.float64), packed=packed)
     if isinstance(engine, BipolarDotProductEngine):
-        return bipolar_dot_prepared(engine, input_bits(engine, x), weights)
-    return dot_prepared(engine, input_bits(engine, x), weights)
+        return bipolar_dot_prepared(engine, x_bits, weights, packed)
+    return dot_prepared(engine, x_bits, weights, packed)
 
 
 # --------------------------------------------------------------------------- #
@@ -324,37 +341,26 @@ def multiplier_mse(scheme: str, precision: int, seed: int = 1) -> float:
     return float(np.mean((estimates - exact) ** 2))
 
 
-def adder_mse(config: str, precision: int, seed: int = 1, mode=None) -> float:
-    """Byte-per-bit twin of :func:`repro.eval.table2.adder_mse`."""
+def adder_mse(config: str, precision: int, seed: int = 1) -> float:
+    """Stream-level twin of :func:`repro.eval.table2.adder_mse`.
+
+    Adds every representable input pair as streams: the full ``(N+1)**2``
+    grid of byte-per-bit sum streams.
+    """
     if config not in ADDER_CONFIGS:
         raise ValueError(f"unknown adder config {config!r}")
-    mode = resolve_mode(mode)
     n = stream_length(precision)
     values = np.arange(n + 1, dtype=np.float64) / n
     sng_x, sng_y = _data_generators(config, precision, seed)
     x_bits = sng_x.generate_bits(values, n)
     y_bits = sng_y.generate_bits(values, n)
-    select = _select_bits(config, precision, n, seed)
-    if mode != "streams":
-        if config == "new_tff":
-            counts = (
-                x_bits.sum(axis=-1, dtype=np.int64)[:, np.newaxis]
-                + y_bits.sum(axis=-1, dtype=np.int64)[np.newaxis, :]
-            ) >> 1
-        else:
-            counts = (
-                (x_bits & (select ^ 1)).sum(axis=-1, dtype=np.int64)[:, np.newaxis]
-                + (y_bits & select).sum(axis=-1, dtype=np.int64)[np.newaxis, :]
-            )
-        estimates = counts / n
+    x_all = np.broadcast_to(x_bits[:, np.newaxis, :], (n + 1, n + 1, n))
+    y_all = np.broadcast_to(y_bits[np.newaxis, :, :], (n + 1, n + 1, n))
+    if config == "new_tff":
+        sums = tff_add(np.ascontiguousarray(x_all), np.ascontiguousarray(y_all))
     else:
-        x_all = np.broadcast_to(x_bits[:, np.newaxis, :], (n + 1, n + 1, n))
-        y_all = np.broadcast_to(y_bits[np.newaxis, :, :], (n + 1, n + 1, n))
-        if config == "new_tff":
-            sums = tff_add(np.ascontiguousarray(x_all), np.ascontiguousarray(y_all))
-        else:
-            sums = mux_add(x_all, y_all, select)
-        estimates = np.asarray(sums).sum(axis=-1, dtype=np.int64) / n
+        sums = mux_add(x_all, y_all, _select_bits(config, precision, n, seed))
+    estimates = np.asarray(sums).sum(axis=-1, dtype=np.int64) / n
     exact = 0.5 * (values[:, np.newaxis] + values[np.newaxis, :])
     return float(np.mean((estimates - exact) ** 2))
 

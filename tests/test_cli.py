@@ -29,11 +29,13 @@ class TestParser:
             ["table2", "--backend", "packed"],
             ["accuracy", "--backend", "packed"],
             ["faults", "--backend", "packed"],
+            ["table2", "--mode", "counts"],
+            ["accuracy", "--mode", "streams"],
         ],
     )
     def test_removed_flags_rejected(self, argv):
-        # Packed words are the only representation, and Table 1 has no
-        # adder tree: neither knob exists any more.
+        # Packed words are the only representation, and every engine picks
+        # its adder-tree evaluation itself: neither knob exists any more.
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
 

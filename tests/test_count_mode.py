@@ -1,14 +1,15 @@
-"""Differential + property tests for the count-domain engine mode.
+"""Differential + property tests for the engines' count-domain evaluation.
 
-``mode="counts"`` must be *bit-identical* to the reference stream reduction
-for every configuration that supports it: unipolar split-weight engines with
-TFF or MUX adder trees (any generator, tap count, tiling, on packed words
-and on the byte-per-bit oracle) and the bipolar XNOR engine (including its
-odd-tap alternating-stream padding).
-These tests pin that contract, the mode-resolution precedence rules, the
-``TreePlan`` mask machinery behind the MUX shortcut, and the stream-path
-edge-case fixes that rode along (empty batches, dtype-preserving count maps,
-the sign-tie contract, bipolar input-range validation).
+Without stream faults the engines reduce all-TFF and all-MUX adder trees in
+the count domain.  The result must be *bit-identical* to reducing the tree's
+streams, for unipolar split-weight engines (any generator, tap count,
+tiling) and for the bipolar XNOR engine (including its odd-tap
+alternating-stream padding).  The reference is the stream-level oracle
+(``tests/oracle.py``), on packed words (``TreePlan.reduce_packed``) or one
+byte per bit (``TreePlan.reduce_bits``).  These tests pin that contract, the
+``TreePlan`` mask machinery behind the MUX shortcut, and the edge cases that
+rode along (empty batches, dtype-preserving count maps, the sign-tie
+contract, bipolar input-range validation).
 """
 
 import numpy as np
@@ -16,76 +17,25 @@ import oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.faults import FaultSpec
 from repro.sc import (
     BipolarDotProductEngine,
     BipolarDotProductResult,
-    MODES,
     StochasticConv2D,
     StochasticDotProductEngine,
     TffAdder,
     MuxAdder,
     new_sc_engine,
     old_sc_engine,
-    resolve_mode,
-    validate_mode,
 )
 from repro.sc.elements.adders import TreePlan
 from repro.bitstream.packed import pack_bits
 from repro.utils.windows import patches_to_map
 
 
-# --------------------------------------------------------------------- #
-# mode resolution
-# --------------------------------------------------------------------- #
-
-
-def test_validate_mode_accepts_known_rejects_unknown():
-    for mode in MODES:
-        assert validate_mode(mode) == mode
-    with pytest.raises(ValueError, match="unknown mode"):
-        validate_mode("bitwise")
-    with pytest.raises(ValueError, match="unknown mode"):
-        validate_mode("")
-
-
-def test_resolve_mode_precedence(monkeypatch):
-    monkeypatch.delenv("REPRO_MODE", raising=False)
-    assert resolve_mode(None) == "auto"
-    monkeypatch.setenv("REPRO_MODE", "streams")
-    assert resolve_mode(None) == "streams"
-    # An explicit argument beats the environment.
-    assert resolve_mode("counts") == "counts"
-    # An empty environment value falls back to the default.
-    monkeypatch.setenv("REPRO_MODE", "")
-    assert resolve_mode(None) == "auto"
-    monkeypatch.setenv("REPRO_MODE", "bogus")
-    with pytest.raises(ValueError, match="unknown mode"):
-        resolve_mode(None)
-
-
-def test_engine_honours_repro_mode_env(monkeypatch):
-    monkeypatch.setenv("REPRO_MODE", "streams")
-    assert StochasticDotProductEngine(precision=4).mode == "streams"
-    assert BipolarDotProductEngine(precision=4).mode == "streams"
-    monkeypatch.delenv("REPRO_MODE", raising=False)
-    assert StochasticDotProductEngine(precision=4).mode == "auto"
-
-
-def test_counts_mode_with_or_tree_raises():
-    with pytest.raises(ValueError, match="counts"):
-        StochasticDotProductEngine(precision=4, adder="or", mode="counts")
-    # "auto" quietly falls back to streams for OR trees.
-    engine = StochasticDotProductEngine(precision=4, adder="or", mode="auto")
-    rng = np.random.default_rng(0)
-    result = engine.dot(rng.random((3, 5)), rng.uniform(-1, 1, 5))
-    assert result.positive_count.shape == (3,)
-
-
-def test_engine_rejects_unknown_mode():
-    with pytest.raises(ValueError, match="unknown mode"):
-        StochasticDotProductEngine(precision=4, mode="fast")
-    with pytest.raises(ValueError, match="unknown mode"):
-        BipolarDotProductEngine(precision=4, mode="fast")
+def stream_reference(reference, engine, method, *args):
+    """The oracle's stream reduction on packed words or on bytes."""
+    return getattr(oracle, method)(engine, *args, packed=reference == "packed")
 
 
 # --------------------------------------------------------------------- #
@@ -100,10 +50,10 @@ UNIPOLAR_GENERATORS = [
 
 
 @pytest.mark.parametrize("adder", ["tff", "mux"])
-@pytest.mark.parametrize("impl", oracle.IMPLS)
+@pytest.mark.parametrize("reference", oracle.IMPLS)
 @pytest.mark.parametrize("input_gen,weight_gen", UNIPOLAR_GENERATORS)
 @pytest.mark.parametrize("taps", [1, 2, 3, 7, 25])
-def test_unipolar_counts_bit_identical(adder, impl, input_gen, weight_gen, taps):
+def test_unipolar_counts_bit_identical(adder, reference, input_gen, weight_gen, taps):
     rng = np.random.default_rng(taps)
     x = rng.random((5, taps))
     w = rng.uniform(-1.0, 1.0, taps)
@@ -114,63 +64,56 @@ def test_unipolar_counts_bit_identical(adder, impl, input_gen, weight_gen, taps)
         weight_generator=weight_gen,
         seed=11,
     )
-    counted = oracle.evaluate(
-        impl, StochasticDotProductEngine(mode="counts", **kwargs), "dot", x, w
-    )
-    streamed = oracle.evaluate(
-        impl, StochasticDotProductEngine(mode="streams", **kwargs), "dot", x, w
+    counted = StochasticDotProductEngine(**kwargs).dot(x, w)
+    streamed = stream_reference(
+        reference, StochasticDotProductEngine(**kwargs), "dot", x, w
     )
     np.testing.assert_array_equal(counted.positive_count, streamed.positive_count)
     np.testing.assert_array_equal(counted.negative_count, streamed.negative_count)
 
 
 @pytest.mark.parametrize("adder", ["tff", "mux"])
-@pytest.mark.parametrize("impl", oracle.IMPLS)
-def test_unipolar_filter_parallel_counts_bit_identical(adder, impl):
+@pytest.mark.parametrize("reference", oracle.IMPLS)
+def test_unipolar_filter_parallel_counts_bit_identical(adder, reference):
     rng = np.random.default_rng(3)
     x = rng.random((9, 25))
     kernels = rng.uniform(-1.0, 1.0, (6, 25))
     kwargs = dict(precision=6, adder=adder, seed=5)
-    counted = oracle.evaluate(
-        impl, StochasticDotProductEngine(mode="counts", **kwargs), "dot_filters", x, kernels
-    )
-    streamed = oracle.evaluate(
-        impl, StochasticDotProductEngine(mode="streams", **kwargs), "dot_filters", x, kernels
+    counted = StochasticDotProductEngine(**kwargs).dot_filters(x, kernels)
+    streamed = stream_reference(
+        reference, StochasticDotProductEngine(**kwargs), "dot_filters", x, kernels
     )
     np.testing.assert_array_equal(counted.positive_count, streamed.positive_count)
     np.testing.assert_array_equal(counted.negative_count, streamed.negative_count)
 
 
 @pytest.mark.parametrize("factory", [new_sc_engine, old_sc_engine])
-def test_paper_engines_accept_mode(factory):
+def test_paper_engines_match_stream_oracle(factory):
     rng = np.random.default_rng(2)
     x = rng.random((4, 9))
     w = rng.uniform(-1.0, 1.0, 9)
-    counted = factory(6, seed=1, mode="counts").dot(x, w)
-    streamed = factory(6, seed=1, mode="streams").dot(x, w)
+    counted = factory(6, seed=1).dot(x, w)
+    streamed = oracle.dot(factory(6, seed=1), x, w)
     np.testing.assert_array_equal(counted.positive_count, streamed.positive_count)
     np.testing.assert_array_equal(counted.negative_count, streamed.negative_count)
 
 
 def test_mux_select_periodicity_across_repeated_calls():
-    """Free-running MUX selects keep advancing across dot() calls in both modes.
+    """Free-running MUX selects keep advancing across dot() calls.
 
     The engine deliberately lets every node's select source continue across
     sequential evaluations; the count path must consume *exactly* the same
-    select windows as the stream path or the second call diverges.
+    select windows as the oracle's stream path or the second call diverges.
     """
     rng = np.random.default_rng(8)
     x1, x2 = rng.random((4, 10)), rng.random((4, 10))
     w = rng.uniform(-1.0, 1.0, 10)
-    engines = {
-        mode: StochasticDotProductEngine(
-            precision=5, adder="mux", seed=21, mode=mode
-        )
-        for mode in ("counts", "streams")
-    }
+    engine, twin = (
+        StochasticDotProductEngine(precision=5, adder="mux", seed=21) for _ in range(2)
+    )
     for x in (x1, x2, x1):
-        counted = engines["counts"].dot(x, w)
-        streamed = engines["streams"].dot(x, w)
+        counted = engine.dot(x, w)
+        streamed = oracle.dot(twin, x, w)
         np.testing.assert_array_equal(counted.positive_count, streamed.positive_count)
         np.testing.assert_array_equal(counted.negative_count, streamed.negative_count)
 
@@ -181,24 +124,47 @@ def test_conv_counts_mode_tiling_bit_identical(adder, tile_patches):
     rng = np.random.default_rng(1)
     images = rng.random((2, 8, 8))
     kernels = rng.uniform(-1.0, 1.0, (4, 3, 3))
-    results = {}
-    for mode in ("counts", "streams"):
-        layer = StochasticConv2D(
+    counted, streamed = (
+        StochasticConv2D(
             kernels,
-            engine=StochasticDotProductEngine(
-                precision=5, adder=adder, seed=4, mode=mode
-            ),
+            engine=StochasticDotProductEngine(precision=5, adder=adder, seed=4),
             padding=1,
             tile_patches=tile_patches,
         )
-        results[mode] = layer.forward(images)
-    np.testing.assert_array_equal(
-        results["counts"].positive_count, results["streams"].positive_count
+        for _ in range(2)
     )
-    np.testing.assert_array_equal(
-        results["counts"].negative_count, results["streams"].negative_count
-    )
-    np.testing.assert_array_equal(results["counts"].sign, results["streams"].sign)
+    counted = counted.forward(images)
+    streamed = oracle.conv_forward(streamed, images)
+    np.testing.assert_array_equal(counted.positive_count, streamed.positive_count)
+    np.testing.assert_array_equal(counted.negative_count, streamed.negative_count)
+    np.testing.assert_array_equal(counted.sign, streamed.sign)
+
+
+def test_stream_paths_match_oracle():
+    """OR trees and faulted streams reduce packed streams; both match the oracle."""
+    rng = np.random.default_rng(12)
+    x = rng.random((6, 9))
+    w = rng.uniform(-1.0, 1.0, 9)
+    spec = FaultSpec(flip_rate=0.05, stuck_one_rate=0.01, seed=3)
+    for kwargs in (
+        dict(adder="or"),
+        dict(adder="tff", faults=spec),
+        dict(adder="mux", faults=spec),
+    ):
+        engine, twin = (
+            StochasticDotProductEngine(precision=6, seed=5, **kwargs) for _ in range(2)
+        )
+        for _ in range(2):
+            counted = engine.dot(x, w)
+            streamed = oracle.dot(twin, x, w)
+            np.testing.assert_array_equal(counted.positive_count, streamed.positive_count)
+            np.testing.assert_array_equal(counted.negative_count, streamed.negative_count)
+    for adder in ("tff", "mux"):
+        engine = BipolarDotProductEngine(precision=6, adder=adder, faults=spec)
+        xb = rng.uniform(-1.0, 1.0, (6, 9))
+        np.testing.assert_array_equal(
+            engine.dot(xb, w).count, oracle.dot(engine, xb, w).count
+        )
 
 
 # --------------------------------------------------------------------- #
@@ -207,33 +173,20 @@ def test_conv_counts_mode_tiling_bit_identical(adder, tile_patches):
 
 
 @pytest.mark.parametrize("adder", ["tff", "mux"])
-@pytest.mark.parametrize("impl", oracle.IMPLS)
+@pytest.mark.parametrize("reference", oracle.IMPLS)
 @pytest.mark.parametrize("taps", [1, 2, 3, 5, 9, 25, 32])
-def test_bipolar_counts_bit_identical(adder, impl, taps):
+def test_bipolar_counts_bit_identical(adder, reference, taps):
     """Covers power-of-two, odd and single tap counts (padding edge cases)."""
     rng = np.random.default_rng(taps + 100)
     x = rng.uniform(-1.0, 1.0, (6, taps))
     w = rng.uniform(-1.0, 1.0, taps)
     kwargs = dict(precision=6, adder=adder, seed=9)
-    counted = oracle.evaluate(
-        impl, BipolarDotProductEngine(mode="counts", **kwargs), "dot", x, w
-    )
-    streamed = oracle.evaluate(
-        impl, BipolarDotProductEngine(mode="streams", **kwargs), "dot", x, w
-    )
+    counted = BipolarDotProductEngine(**kwargs).dot(x, w)
+    streamed = stream_reference(reference, BipolarDotProductEngine(**kwargs), "dot", x, w)
     np.testing.assert_array_equal(counted.count, streamed.count)
     np.testing.assert_array_equal(counted.sign, streamed.sign)
     np.testing.assert_array_equal(counted.value, streamed.value)
     assert counted.tree_scale == streamed.tree_scale
-
-
-def test_bipolar_auto_mode_matches_explicit_counts():
-    rng = np.random.default_rng(0)
-    x = rng.uniform(-1.0, 1.0, (4, 7))
-    w = rng.uniform(-1.0, 1.0, 7)
-    auto = BipolarDotProductEngine(precision=6, seed=2, mode="auto").dot(x, w)
-    counts = BipolarDotProductEngine(precision=6, seed=2, mode="counts").dot(x, w)
-    np.testing.assert_array_equal(auto.count, counts.count)
 
 
 # --------------------------------------------------------------------- #
@@ -246,19 +199,17 @@ def test_bipolar_auto_mode_matches_explicit_counts():
     taps=st.integers(min_value=1, max_value=12),
     precision=st.integers(min_value=3, max_value=7),
     adder=st.sampled_from(["tff", "mux"]),
-    impl=st.sampled_from(oracle.IMPLS),
+    reference=st.sampled_from(oracle.IMPLS),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_unipolar_counts_property(taps, precision, adder, impl, seed):
+def test_unipolar_counts_property(taps, precision, adder, reference, seed):
     rng = np.random.default_rng(seed)
     x = rng.random((3, taps))
     w = rng.uniform(-1.0, 1.0, taps)
     kwargs = dict(precision=precision, adder=adder, seed=seed)
-    counted = oracle.evaluate(
-        impl, StochasticDotProductEngine(mode="counts", **kwargs), "dot", x, w
-    )
-    streamed = oracle.evaluate(
-        impl, StochasticDotProductEngine(mode="streams", **kwargs), "dot", x, w
+    counted = StochasticDotProductEngine(**kwargs).dot(x, w)
+    streamed = stream_reference(
+        reference, StochasticDotProductEngine(**kwargs), "dot", x, w
     )
     np.testing.assert_array_equal(counted.positive_count, streamed.positive_count)
     np.testing.assert_array_equal(counted.negative_count, streamed.negative_count)
@@ -269,20 +220,16 @@ def test_unipolar_counts_property(taps, precision, adder, impl, seed):
     taps=st.integers(min_value=1, max_value=12),
     precision=st.integers(min_value=3, max_value=7),
     adder=st.sampled_from(["tff", "mux"]),
-    impl=st.sampled_from(oracle.IMPLS),
+    reference=st.sampled_from(oracle.IMPLS),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_bipolar_counts_property(taps, precision, adder, impl, seed):
+def test_bipolar_counts_property(taps, precision, adder, reference, seed):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, (3, taps))
     w = rng.uniform(-1.0, 1.0, taps)
     kwargs = dict(precision=precision, adder=adder, seed=seed)
-    counted = oracle.evaluate(
-        impl, BipolarDotProductEngine(mode="counts", **kwargs), "dot", x, w
-    )
-    streamed = oracle.evaluate(
-        impl, BipolarDotProductEngine(mode="streams", **kwargs), "dot", x, w
-    )
+    counted = BipolarDotProductEngine(**kwargs).dot(x, w)
+    streamed = stream_reference(reference, BipolarDotProductEngine(**kwargs), "dot", x, w)
     np.testing.assert_array_equal(counted.count, streamed.count)
 
 
@@ -304,7 +251,6 @@ def test_leaf_masks_are_disjoint_and_exact(count, lanes):
     # Reference: an identically-seeded plan reducing actual streams.
     ref_plan = TreePlan(lambda: MuxAdder(toggle_select=True), count, lanes=lanes)
     expected = np.asarray(ref_plan.reduce_bits(bits)).sum(axis=-1, dtype=np.int64)
-    np.testing.assert_array_equal(plan.masked_counts_bits(bits), expected)
 
     # Each cycle is owned by at most one leaf (pads absorb the rest).
     masks = plan.leaf_masks(length, packed=False)
@@ -427,7 +373,7 @@ def test_bipolar_rejects_out_of_range_inputs(impl):
 
 
 # --------------------------------------------------------------------- #
-# table evaluators honour the mode
+# Table 2: count-domain sweep vs. the stream grid
 # --------------------------------------------------------------------- #
 
 
@@ -435,17 +381,5 @@ def test_table2_counts_mode_bit_identical():
     from repro.eval.table2 import ADDER_CONFIGS, adder_mse
 
     for config in ADDER_CONFIGS:
-        for mse in (adder_mse, oracle.adder_mse):
-            assert mse(config, 4, mode="counts") == mse(config, 4, mode="streams")
-
-
-def test_accuracy_config_resolves_mode(monkeypatch):
-    from repro.eval.table3_accuracy import AccuracyConfig
-
-    monkeypatch.delenv("REPRO_MODE", raising=False)
-    assert AccuracyConfig().mode == "auto"
-    assert AccuracyConfig(mode="streams").mode == "streams"
-    monkeypatch.setenv("REPRO_MODE", "counts")
-    assert AccuracyConfig().mode == "counts"
-    with pytest.raises(ValueError, match="unknown mode"):
-        AccuracyConfig(mode="bogus")
+        for precision in (4, 6):
+            assert adder_mse(config, precision) == oracle.adder_mse(config, precision)

@@ -3,8 +3,8 @@
 Covers the mask generator's statistics and coordinate determinism, the
 ``((w | stuck1) & ~stuck0) ^ flips`` composition contract, tiling
 bit-identity of faulted engines and convolutions against the byte-per-bit
-oracle (``tests/oracle.py``), the mode interaction (stream faults force
-stream-domain evaluation), stream injection helpers, netlist stuck-at faults
+oracle (``tests/oracle.py``), the path choice (stream faults force the
+stream-domain tree reduction), stream injection helpers, netlist stuck-at faults
 on the simulator and its cycle-loop oracle, stuck SNG register cells, the
 matched binary-word flip baseline, and the degradation sweep.
 """
@@ -251,22 +251,18 @@ class TestEngineFaults:
             and np.array_equal(clean.negative_count, faulted.negative_count)
         )
 
-    def test_counts_mode_with_stream_faults_raises(self):
-        with pytest.raises(ValueError, match="count"):
-            new_sc_engine(precision=6, mode="counts",
-                          faults=FaultSpec(flip_rate=0.01))
-
     def test_auto_mode_resolves_to_streams(self):
+        # Stream faults make the engines reduce streams, not counts.
         engine = new_sc_engine(precision=6, faults=FaultSpec(flip_rate=0.01))
         assert engine._stream_faults_active
         plan = engine.prepare_weights(self.w.reshape(1, -1)).plan
-        assert not engine._use_count_mode(plan)
-        assert new_sc_engine(precision=6)._use_count_mode(plan)
+        assert not engine._uses_count_domain(plan)
+        assert new_sc_engine(precision=6)._uses_count_domain(plan)
         # Non-stream fault channels keep the count-domain shortcut legal.
         cells_only = new_sc_engine(precision=6,
                                    faults=FaultSpec(sng_stuck_cells=((1, 1),)))
         assert not cells_only._stream_faults_active
-        assert cells_only._use_count_mode(plan)
+        assert cells_only._uses_count_domain(plan)
 
     def test_faults_type_checked(self):
         with pytest.raises(TypeError):
@@ -283,8 +279,6 @@ class TestEngineFaults:
         assert np.array_equal(counts["packed"], counts["unpacked"])
         clean = BipolarDotProductEngine(precision=6).dot(values, weights)
         assert not np.array_equal(clean.count, counts["packed"])
-        with pytest.raises(ValueError, match="count"):
-            BipolarDotProductEngine(precision=6, mode="counts", faults=spec)
 
     def test_sng_stuck_cells_thread_into_generator(self):
         values = self.rng.random((6, 9))
