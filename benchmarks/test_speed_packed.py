@@ -1,9 +1,10 @@
 """Benchmark: packed-word kernels vs. the byte-per-bit reference oracle.
 
 Times the two hot kernels of the reproduction -- the stochastic dot product
-and the stochastic convolution layer -- against their byte-per-bit twins in
-``tests/oracle.py``, asserts the packed path meets its speedup floor (>= 5x
-on the dot-product kernel at stream length 4096), and writes a
+and the stochastic convolution layer -- against their byte-per-bit or
+packed-stream twins in ``tests/oracle.py``, asserts each path meets its
+speedup floor (e.g. >= 5x on the dot-product kernel at stream length 4096,
+>= 10x for the table-lookup count domain at paper geometry), and writes a
 ``BENCH_packed.json`` artifact under ``.bench_build/`` (untracked) so the
 speedup trajectory can be tracked across runs without rewriting committed
 files.
@@ -140,7 +141,9 @@ def test_filter_parallel_conv_speedup():
     reductions per kernel.  (The engine's own ``dot_prepared`` now runs a
     one-filter bank in the count domain, which would erase the contrast this
     row has tracked since the filter-parallel change.)  The bank side is the
-    engine's count reduction for all-TFF trees.
+    engine's count domain for all-TFF trees: leaf counts gathered from the
+    bank's prefix-count table by each input stream's ones-count, then halved
+    level by level (``TreePlan.reduce_counts``).
     """
     rng = np.random.default_rng(2)
     images = rng.random((1, 16, 16))
@@ -205,11 +208,12 @@ def test_mux_count_conv_speedup():
     Table 3 scale on the filter axis: 32 MUX-adder kernels at N=256 over one
     16x16 image's worth of patches, evaluated through the same prepared
     filter-parallel bank the convolution layer uses per tile.  The count
-    path folds the cached select streams into per-leaf ownership masks (one
-    masked AND/OR accumulate plus a popcount); the stream side is the
-    oracle's packed bank, which reduces the same lanes level by level with
-    ``TreePlan.reduce_packed``.  The count path must be bit-identical while
-    clearing the acceptance floor of 3x.
+    path folds the cached select streams into per-leaf ownership masks,
+    tabulates the masked weights' prefix counts once, and sums the leaf
+    counts each input stream's ones-count gathers from that table; the
+    stream side is the oracle's packed bank, which reduces the same lanes
+    level by level with ``TreePlan.reduce_packed``.  The count path must be
+    bit-identical while clearing the acceptance floor of 3x.
     """
     rng = np.random.default_rng(3)
     images = rng.random((1, 16, 16))
@@ -252,6 +256,67 @@ def test_mux_count_conv_speedup():
             "streams_seconds": timings["streams"],
             "counts_seconds": timings["counts"],
             "speedup": speedup,
+        }
+    )
+
+
+def test_table_count_conv_speedup():
+    """Table-lookup count domain vs. the packed stream bank at paper geometry.
+
+    One 28x28 image ("same" padding: 784 patches), 32 kernels, N=256, for
+    TFF and MUX trees.  Both sides evaluate the same prepared input words:
+    ``PreparedWeights.counts`` gathers leaf counts from its prefix-count
+    table by each stream's ones-count (no product or tree streams), while
+    ``oracle.BitBank(..., packed=True).counts`` ANDs inputs with weights
+    and reduces the tree level by level.  Counts must be bit-identical, and
+    each adder must clear a 10x floor.
+    """
+    rng = np.random.default_rng(5)
+    images = rng.random((1, 28, 28))
+    kernels = rng.uniform(-1.0, 1.0, (32, 5, 5))
+    filters, taps = kernels.shape[0], 25
+    flat_kernels = kernels.reshape(filters, taps)
+    patches = extract_patches(images, (5, 5), padding=2).reshape(-1, taps)
+
+    rows = {}
+    for adder in ("tff", "mux"):
+        engine, twin = (
+            StochasticDotProductEngine(precision=8, adder=adder, seed=1)
+            for _ in range(2)
+        )
+        x_words = engine.prepare_inputs(patches)
+        bank = engine.prepare_weights(flat_kernels)
+        stream_bank = oracle.BitBank(twin, flat_kernels, packed=True)
+        streams_s, (ref_pos, ref_neg) = best_of(lambda: stream_bank.counts(x_words))
+        counts_s, (pos, neg) = best_of(lambda: bank.counts(x_words))
+
+        # Correctness first: the table path must match the stream reduction.
+        np.testing.assert_array_equal(pos, ref_pos)
+        np.testing.assert_array_equal(neg, ref_neg)
+        rows[adder] = {
+            "streams_seconds": streams_s,
+            "counts_seconds": counts_s,
+            "speedup": streams_s / counts_s,
+        }
+        print(
+            f"\ntable count conv ({adder}), {filters} kernels, "
+            f"{patches.shape[0]} patches, N=256: streams {streams_s * 1e3:.1f} ms, "
+            f"counts {counts_s * 1e3:.1f} ms ({streams_s / counts_s:.1f}x)"
+        )
+
+    for adder, row in rows.items():
+        assert row["speedup"] >= 10.0, (
+            f"table-lookup {adder} counts only {row['speedup']:.1f}x faster "
+            f"than the stream bank (floor is 10x at {filters} filters)"
+        )
+
+    _write_artifact(
+        table_count_conv={
+            "filters": filters,
+            "taps": taps,
+            "patches": int(patches.shape[0]),
+            "stream_length": 256,
+            **rows,
         }
     )
 

@@ -167,13 +167,17 @@ def main() -> None:
     print(f"32 kernels x 256 windows at N=256: per-filter loop {loop_s * 1e3:6.1f} ms, "
           f"filter-parallel {bank_s * 1e3:6.1f} ms ({loop_s / bank_s:.0f}x)")
 
-    section("Count-domain evaluation: adder trees without adder-tree streams")
-    # Without stream faults the engines never materialize a tree node's
-    # bit-stream: all-TFF trees reduce integer counts with floor/ceil((cx+cy)/2)
-    # per level, and all-MUX trees fold their cached select streams into one
-    # disjoint ownership mask per leaf, so the root count is a single masked
-    # popcount.  Both shortcuts are exact -- identical counters, not close
-    # ones.  OR trees and faulted streams reduce the packed streams level by
+    section("Count-domain evaluation: table lookups instead of streams")
+    # Every input stream is a comparator output ref < p against one fixed
+    # reference, so it is fixed by its ones-count k: prepare_inputs looks it
+    # up in the engine's ComparatorTable, and popcount(x & w) is a prefix
+    # count of w in reference order.  Without stream faults the bank gathers
+    # each (window, tap) leaf count from a prefix-count table built once from
+    # the weights; all-TFF trees then halve integer counts with
+    # floor/ceil((cx+cy)/2) per level, and all-MUX trees sum the leaves of
+    # their weights masked by disjoint per-leaf select ownership masks.  No
+    # product or tree stream is built, and the counters are identical, not
+    # close.  OR trees and faulted streams reduce the packed streams level by
     # level instead (TreePlan.reduce_packed), timed here on the same bank.
     for adder in ("mux", "tff"):
         sc_engine = StochasticDotProductEngine(precision=8, adder=adder)
@@ -184,7 +188,7 @@ def main() -> None:
             lanes = x_words[:, np.newaxis] & bank.weight_streams.reshape(64, 25, -1)
             return packed_popcount(bank.plan.reduce_packed(lanes, sc_engine.length))
 
-        # One untimed pass each builds the bank's cached MUX selects and masks.
+        # One untimed pass each builds the bank's leaf table and MUX selects.
         bank.counts(x_words), via_streams()
         start = time.perf_counter()
         pos, neg = bank.counts(x_words)

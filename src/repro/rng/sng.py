@@ -10,6 +10,8 @@ what Table 1 of the paper quantifies.  This module provides:
   :class:`~repro.rng.sources.NumberSource`;
 * :class:`RampCompareSNG` -- the analog-to-stochastic converter variant used
   for the sensor input;
+* :class:`ComparatorTable` -- the table form of a comparator over one fixed
+  reference sequence, in which a stream is a lookup by its ones-count;
 * :func:`sng_pair` -- a factory for the four input-pair generation schemes
   compared in Table 1, by name.
 """
@@ -21,7 +23,7 @@ from typing import Tuple
 import numpy as np
 
 from ..bitstream import Bitstream, to_probability
-from ..bitstream.packed import pack_comparator_output
+from ..bitstream.packed import pack_comparator_output, packed_popcount, unpack_bits
 from .lfsr import ALTERNATE_TAPS, LFSRSource, RotatedLFSRSource
 from .lowdiscrepancy import SobolSource, VanDerCorputSource
 from .ramp import RampSource
@@ -30,6 +32,7 @@ from .sources import NumberSource, PseudoRandomSource
 __all__ = [
     "ComparatorSNG",
     "RampCompareSNG",
+    "ComparatorTable",
     "sng_pair",
     "TABLE1_SCHEMES",
 ]
@@ -96,6 +99,94 @@ class RampCompareSNG(ComparatorSNG):
         self, bits: int, descending: bool = False, encoding: str = "unipolar"
     ) -> None:
         super().__init__(RampSource(bits, descending=descending), encoding=encoding)
+
+
+class ComparatorTable:
+    """Every stream a comparator can emit against one reference sequence.
+
+    A comparator SNG emits ``ref < p`` at every cycle, so its stream is fully
+    determined by its ones-count ``k = #{ref < p}``: the ones sit on the
+    ``k`` lowest-ranked cycles of the stably sorted reference (tied
+    reference values are all below ``p`` or none are, so ``k`` always
+    falls on a tie boundary).  The table holds those ``N + 1`` streams, and
+    turns stream generation into a ``searchsorted`` plus a row lookup and
+    ``popcount(stream & w)`` into a prefix count of ``w`` in reference order
+    -- the exact-count property of ramp conversion (paper Sec. IV-A),
+    which holds for any reference sequence.
+
+    Parameters
+    ----------
+    reference:
+        The 1-D number-source sequence, one value per clock cycle.
+    """
+
+    def __init__(self, reference: np.ndarray) -> None:
+        reference = np.asarray(reference, dtype=np.float64)
+        if reference.ndim != 1:
+            raise ValueError(f"reference must be 1-D, got shape {reference.shape}")
+        self.length = reference.shape[0]
+        #: Cycle indices in ascending reference order (stable for ties).
+        self.order = np.argsort(reference, kind="stable")
+        #: The reference values in that order, the ``searchsorted`` key.
+        self.sorted_reference = reference[self.order]
+        ranks = np.empty(self.length, dtype=np.int64)
+        ranks[self.order] = np.arange(self.length)
+        #: ``(N + 1, W)`` packed words: row ``k`` sets the ``k`` lowest-ranked
+        #: cycles, i.e. it is the stream of every value with ones-count ``k``.
+        self.streams = pack_comparator_output(ranks, np.arange(self.length + 1))
+
+    def levels(self, values: np.ndarray) -> np.ndarray:
+        """Ones-counts ``#{ref < p}`` of unipolar ``values`` (clipped to ``[0, 1]``).
+
+        NaN has no comparator output (``ref < NaN`` is false at every cycle,
+        while a sorted lookup would place it above every reference value),
+        so it raises ``ValueError``.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        if np.isnan(values).any():
+            raise ValueError("comparator inputs must not be NaN")
+        return np.searchsorted(
+            self.sorted_reference, np.clip(values, 0.0, 1.0), side="left"
+        )
+
+    def words(self, values: np.ndarray) -> np.ndarray:
+        """Packed streams ``ref < p``: shape ``values.shape + (W,)`` uint64."""
+        return self.streams[self.levels(values)]
+
+    def decode(self, words: np.ndarray) -> np.ndarray:
+        """Ones-counts ``k`` of packed comparator streams, shape ``words.shape[:-1]``.
+
+        The inverse of :meth:`words`.  Raises ``ValueError`` unless every
+        stream is exactly row ``k`` of the table, i.e. a fault-free output
+        of this comparator.
+        """
+        words = np.asarray(words)
+        if words.shape[-1:] != self.streams.shape[-1:]:
+            raise ValueError(
+                f"expected {self.streams.shape[-1]} words per stream, "
+                f"got shape {words.shape}"
+            )
+        levels = packed_popcount(words)
+        if not np.array_equal(self.streams[levels], words):
+            raise ValueError(
+                "streams are not comparator outputs of this reference; "
+                "reduce them as streams instead"
+            )
+        return levels
+
+    def prefix_counts(self, words: np.ndarray, dtype=np.int64) -> np.ndarray:
+        """``popcount(streams[k] & w)`` for every ``k``: shape ``words.shape[:-1] + (N + 1,)``.
+
+        A cumulative sum of the bits of ``w`` taken in reference order; the
+        caller picks a ``dtype`` that holds ``N``.
+        """
+        bits = unpack_bits(words, self.length)[..., self.order]
+        out = np.zeros(bits.shape[:-1] + (self.length + 1,), dtype=dtype)
+        np.cumsum(bits, axis=-1, dtype=dtype, out=out[..., 1:])
+        return out
+
+    def __repr__(self) -> str:
+        return f"ComparatorTable(length={self.length})"
 
 
 #: Names of the four number-generation schemes evaluated in Table 1, mapped to

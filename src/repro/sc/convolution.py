@@ -26,18 +26,32 @@ same filter-major order the loop used.
 Execution is *tile-streamed*: ``tile_patches`` (or the
 ``REPRO_TILE_PATCHES`` environment variable) bounds how many image patches
 are in flight at once.  Input bit-streams are generated per tile and counts
-accumulated incrementally, so peak memory is ``O(tile_patches * filters *
-taps * words)`` regardless of batch size -- this is what lets
-``REPRO_BITEXACT=1`` runs cover the full MNIST test set.  Stream generation
-is stateless and the weight bank (select streams included) is built once and
-reused, so any tiling -- including tile sizes that do not divide the patch
-count -- produces counts bit-identical to one untiled pass.
+accumulated incrementally, so peak memory is bounded by the tile regardless
+of batch size -- this is what lets ``REPRO_BITEXACT=1`` runs cover the full
+MNIST test set.  Stream generation is stateless and the weight bank (select
+streams included) is built once and reused, so any tiling -- including tile
+sizes that do not divide the patch count -- produces counts bit-identical to
+one untiled pass.
 
 Evaluation path
 ---------------
-Each tile's adder trees reduce in the count domain when the engine's trees
-are all-TFF or all-MUX and no stream fault is active, and as packed streams
-otherwise (OR trees, faulted streams).
+Every input stream is a comparator output ``ref < p`` against the engine's
+one input reference (ramp, van der Corput or LFSR), so it is fully
+determined by its ones-count ``k = #{ref < p}`` (the exact-count property of
+ramp conversion, paper Sec. IV-A, holds for any reference).  The engine
+caches a :class:`~repro.rng.sng.ComparatorTable` of the ``N + 1`` possible
+streams, and each tile runs three stages:
+
+1. ``prepare_inputs`` -- a ``searchsorted`` of the pixel values into the
+   sorted reference and one row lookup per stream (no per-cycle compare);
+2. ``apply_faults`` -- stream-fault masks keyed on the global patch index;
+3. ``PreparedWeights.counts`` -- for all-TFF and all-MUX trees without
+   stream faults, the count domain: ``k`` of every ``(patch, tap)`` gathers
+   ``(patches, taps, lanes)`` leaf counts from the bank's prefix-count
+   table, which MUX trees sum over taps and TFF trees halve level by level.
+   Peak memory is ``O(tile_patches * taps * lanes)`` and no stream tensor
+   is built.  OR trees and faulted streams reduce the packed streams
+   instead, ``O(tile_patches * lanes * taps * words)``.
 """
 
 from __future__ import annotations
@@ -184,8 +198,11 @@ class StochasticConv2D:
         # Guard the range check behind ``size``: an empty batch has no pixels
         # to validate and ``min()``/``max()`` would raise on it.  Geometry is
         # still validated (via ``output_shape``) so only ``batch == 0`` with a
-        # legal spatial shape reaches the empty fast path below.
-        if images.size and (images.min() < -1e-9 or images.max() > 1.0 + 1e-9):
+        # legal spatial shape reaches the empty fast path below.  NaN fails
+        # every comparison, so it is rejected explicitly.
+        if images.size and (
+            np.isnan(images).any() or images.min() < -1e-9 or images.max() > 1.0 + 1e-9
+        ):
             raise ValueError("pixel values must lie in [0, 1]")
 
         kh, kw = self.kernel_size

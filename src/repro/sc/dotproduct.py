@@ -20,7 +20,10 @@ number-generation configuration (the knob that distinguishes "this work" from
 the "old SC" baseline in Table 3), and the raw packed-word kernel
 :func:`stochastic_dot_product_packed` that operates on pre-generated streams.
 Every stream is stored 64 clock cycles per ``uint64`` word (see
-:mod:`repro.bitstream.packed`).
+:mod:`repro.bitstream.packed`).  Input streams are comparator outputs against
+one fixed reference, so the engine looks them up by ones-count in a cached
+:class:`~repro.rng.sng.ComparatorTable`, and the filter bank reduces them in
+the count domain through the same table.
 """
 
 from __future__ import annotations
@@ -35,10 +38,11 @@ from ..bitstream.packed import packed_popcount
 from ..faults.spec import FaultedEngine, FaultSpec
 from ..rng import (
     ComparatorSNG,
+    ComparatorTable,
     LFSRSource,
+    RampSource,
     VanDerCorputSource,
     ramp_compare_batch,
-    ramp_compare_packed,
 )
 from .elements.adders import AdderTree, MuxAdder, OrAdder, TffAdder, TreePlan
 from .elements.converters import sign_from_counts
@@ -123,10 +127,19 @@ class PreparedWeights:
     :meth:`StochasticDotProductEngine.prepare_weights` and applied to any
     number of input tiles via :meth:`counts`.  Weight streams carry a leading
     *filter* axis and a positive/negative axis -- ``(filters, 2, taps, W)``
-    packed words -- so one vectorized tree reduction covers every
-    ``(filter, sign)`` pair at once, and the positive and negative dot
-    products of the paper's split-weight trick are fused into a single pass
-    over shared input streams.
+    packed words -- and the tree plan has one lane per ``(filter, sign)``
+    pair, so the positive and negative dot products of the paper's
+    split-weight trick are fused into one pass over shared input streams.
+
+    In the count domain (all-TFF or all-MUX trees, no stream faults) the
+    bank never ANDs input and weight streams.  Every input stream is the
+    comparator output of the engine's input reference, fixed by its
+    ones-count ``k`` (:class:`~repro.rng.sng.ComparatorTable`), so the
+    bank's leaf counts ``popcount(x & w)`` are rows of a ``(taps, N + 1,
+    lanes)`` prefix-count table, built once from the weight bits in
+    reference order on first use.  MUX leaves use the weight streams
+    pre-ANDed with their cached leaf ownership masks
+    (:meth:`_masked_weight_bank`).
 
     The tree plan's adders are instantiated filter-major (filter 0's positive
     tree, then its negative tree, then filter 1, ...), exactly the order a
@@ -157,31 +170,51 @@ class PreparedWeights:
         self.plan: TreePlan = AdderTree(engine._adder_factory()).plan(
             self.taps, lanes=2 * self.filters
         )
-        # The MUX count-domain path folds the leaf ownership masks into the
-        # weight streams once (lazily), so per-tile evaluation is a masked
-        # AND/OR accumulate plus one popcount -- no adder-tree stream tensor.
-        self._masked_weights: Optional[np.ndarray] = None
+        # The count-domain leaf table and the input table it was built
+        # against (built lazily: OR and faulted banks never need it).
+        self._leaf_table: Optional[np.ndarray] = None
+        self._leaf_table_source: Optional[ComparatorTable] = None
 
     @property
     def tree_scale(self) -> int:
         """Counter scale ``2**depth`` of each per-filter adder tree."""
         return self.plan.tree_scale
 
+    def _lane_weights(self) -> np.ndarray:
+        """Weight streams lane-major like the plan: ``(2 * filters, taps, W)``."""
+        return self.weight_streams.reshape(
+            2 * self.filters, self.taps, self.weight_streams.shape[-1]
+        )
+
     def _masked_weight_bank(self) -> np.ndarray:
         """Weight streams pre-ANDed with their lane's leaf ownership masks.
 
         Shape ``(2 * filters, taps, W)`` (lane-major like the plan).
         Because the masks of one lane are disjoint across leaves, the lane's
-        root stream is ``OR over taps of (input & masked_weight)`` and its
-        count one popcount -- the MUX count-domain kernel.
+        root count is the sum over taps of ``popcount(input &
+        masked_weight)`` -- the MUX count-domain kernel.
         """
-        if self._masked_weights is None:
-            masks = self.plan.leaf_masks(self.n_bits, packed=True)
-            flat = self.weight_streams.reshape(
-                2 * self.filters, self.taps, self.weight_streams.shape[-1]
+        return self._lane_weights() & self.plan.leaf_masks(self.n_bits, packed=True)
+
+    def _leaves(self, table: ComparatorTable) -> np.ndarray:
+        """The ``(taps, N + 1, lanes)`` leaf-count table for input ``table``.
+
+        Entry ``[t, k, lane]`` is ``popcount(table.streams[k] & w)`` for the
+        lane's tap-``t`` leaf weight ``w`` (select-masked for MUX trees).
+        int16 holds twice the largest count plus one up to ``N = 8192``
+        (the TFF halving adds two counts); longer streams use int32.
+        """
+        if self._leaf_table_source is not table:
+            leaf_weights = (
+                self._lane_weights()
+                if self.plan.supports_count_reduction
+                else self._masked_weight_bank()
             )
-            self._masked_weights = flat & masks
-        return self._masked_weights
+            dtype = np.int16 if 2 * self.n_bits < np.iinfo(np.int16).max else np.int32
+            prefix = table.prefix_counts(leaf_weights, dtype)  # (lanes, taps, N+1)
+            self._leaf_table = np.ascontiguousarray(prefix.transpose(1, 2, 0))
+            self._leaf_table_source = table
+        return self._leaf_table
 
     def counts(self, prepared: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Positive and negative tree counts for prepared input streams.
@@ -192,9 +225,12 @@ class PreparedWeights:
         arrays of shape ``(..., filters)``.
 
         All-TFF and all-MUX trees without active stream faults reduce in the
-        count domain (integer halving, cached select masks) and never
-        materialize an adder-tree stream tensor; OR trees and faulted
-        streams reduce the packed streams level by level.
+        count domain: each input stream's ones-count ``k`` indexes the leaf
+        table, MUX trees sum the leaves (their ownership masks are disjoint)
+        and TFF trees halve them with :meth:`TreePlan.reduce_counts`.  No
+        stream tensor is built, and inputs that are not fault-free
+        comparator outputs of the engine raise ``ValueError``.  OR trees and
+        faulted streams reduce the packed streams level by level.
         """
         x = np.asarray(prepared)
         if x.ndim < 2 or x.shape[-2] != self.taps:
@@ -202,33 +238,22 @@ class PreparedWeights:
                 f"prepared inputs must have {self.taps} taps on axis -2, "
                 f"got shape {x.shape}"
             )
-        use_counts = self.engine._uses_count_domain(self.plan)
-        if use_counts and not self.plan.supports_count_reduction:
-            # All-MUX count domain: accumulate the select-masked products
-            # tap by tap (bounded temporaries) and popcount once per lane.
-            masked_w = self._masked_weight_bank()
-            acc = np.zeros(
-                x.shape[:-2] + (2 * self.filters, x.shape[-1]), dtype=x.dtype
-            )
-            for t in range(self.taps):
-                acc |= x[..., t, :][..., np.newaxis, :] & masked_w[:, t, :]
-            flat_counts = packed_popcount(acc)
-            stacked = flat_counts.reshape(
-                flat_counts.shape[:-1] + (self.filters, 2)
-            )
-            return stacked[..., 0], stacked[..., 1]
-        products = x[..., np.newaxis, np.newaxis, :, :] & self.weight_streams
-        lanes = products.reshape(
-            products.shape[:-4] + (2 * self.filters, self.taps, products.shape[-1])
-        )
-        if use_counts:
-            # All-TFF trees admit the exact count-domain shortcut: popcount
-            # the tap products once, then reduce integer counts level by
-            # level (floor/ceil halving) -- provably bit-identical to the
-            # stream-level tree and an order of magnitude less work.
-            flat_counts = self.plan.reduce_counts(packed_popcount(lanes))
+        if self.engine._uses_count_domain(self.plan):
+            table = self.engine._input_table()
+            levels = table.decode(x)
+            # Row t * (N + 1) + k of the flattened table is tap t at count k.
+            index = levels + np.arange(self.taps) * (self.n_bits + 1)
+            leaves = self._leaves(table).reshape(-1, 2 * self.filters)[index]
+            if self.plan.supports_count_reduction:
+                flat_counts = self.plan.reduce_counts(np.swapaxes(leaves, -1, -2))
+            else:
+                # Disjoint leaf masks: every partial sum is a root-stream
+                # count, so the table dtype holds it.
+                flat_counts = leaves.sum(axis=-2, dtype=leaves.dtype)
+            flat_counts = flat_counts.astype(np.int64)
         else:
-            flat_counts = packed_popcount(self.plan.reduce_packed(lanes, self.n_bits))
+            products = x[..., np.newaxis, :, :] & self._lane_weights()
+            flat_counts = packed_popcount(self.plan.reduce_packed(products, self.n_bits))
         stacked = flat_counts.reshape(flat_counts.shape[:-1] + (self.filters, 2))
         return stacked[..., 0], stacked[..., 1]
 
@@ -279,6 +304,10 @@ class StochasticDotProductEngine(FaultedEngine):
     seed: int = 1
     faults: Optional[FaultSpec] = None
     _mux_seed_counter: int = field(default=0, repr=False)
+    # ``(key, ComparatorTable)`` of the input SNG, rebuilt when the key changes.
+    _input_table_cache: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.precision < 2:
@@ -307,11 +336,32 @@ class StochasticDotProductEngine(FaultedEngine):
         return self._input_sng().generate_bits(values, self.length)
 
     def input_words(self, values: np.ndarray) -> np.ndarray:
-        """Packed variant of :meth:`input_streams`: shape ``(..., ceil(N/64))`` uint64."""
-        values = np.asarray(values, dtype=np.float64)
-        if self.input_generator == "ramp":
-            return ramp_compare_packed(values, self.length)
-        return self._input_sng().generate_packed(values, self.length)
+        """Packed variant of :meth:`input_streams`: shape ``(..., ceil(N/64))`` uint64.
+
+        A lookup, not a per-cycle comparison: each value's ones-count
+        ``#{ref < p}`` selects a row of the engine's cached
+        :class:`~repro.rng.sng.ComparatorTable`, bit-identical to comparing
+        against the reference every cycle (values clip to ``[0, 1]``).  NaN
+        values raise ``ValueError``.
+        """
+        return self._input_table().words(values)
+
+    def _input_table(self) -> ComparatorTable:
+        """The input SNG's comparator table, cached per reference sequence.
+
+        The reference depends on the generator, precision, seed and the
+        stuck LFSR cells of ``faults``; the cache is keyed on all four.
+        """
+        stuck = self.faults.sng_stuck_cells if self.faults is not None else ()
+        key = (self.input_generator, self.precision, self.seed, stuck)
+        if self._input_table_cache is None or self._input_table_cache[0] != key:
+            if self.input_generator == "ramp":
+                source = RampSource(self.precision)
+            else:
+                source = self._input_sng().source
+            table = ComparatorTable(source.sequence(self.length))
+            self._input_table_cache = (key, table)
+        return self._input_table_cache[1]
 
     def _input_sng(self) -> ComparatorSNG:
         if self.input_generator == "lfsr":

@@ -55,12 +55,16 @@ stream fault is active):
   pick exactly one leaf whose bit the root forwards (or a zero pad), so
   pushing the cached select streams down the tree yields one disjoint
   *ownership mask* per leaf (:meth:`TreePlan.leaf_masks`) and the root count
-  is a single masked popcount over the leaf streams
-  (:meth:`TreePlan.masked_counts_packed`).
+  is the sum over leaves of ``popcount(leaf & mask)``
+  (:meth:`TreePlan.masked_counts_packed` popcounts their OR).
 
-Both shortcuts are bit-identical to reducing the streams; OR trees are
-position-dependent in a way neither shortcut captures and always reduce
-streams.
+Both shortcuts need only per-leaf counts.  The unipolar engine's filter
+bank (:class:`repro.sc.dotproduct.PreparedWeights`) reads those leaf counts
+from a prefix-count table indexed by each input stream's ones-count, so it
+builds no product streams at all; the bipolar engine popcounts its XNOR
+products.  Both shortcuts are bit-identical to reducing the streams; OR
+trees are position-dependent in a way neither shortcut captures and always
+reduce streams.
 """
 
 from __future__ import annotations
@@ -451,35 +455,38 @@ class TreePlan:
         root streams' ones-counts, shape ``(..., lanes)``, guaranteed
         bit-identical to popcounting the streams produced by
         :meth:`reduce_bits` / :meth:`reduce_packed` -- see
-        :attr:`supports_count_reduction` for why this is exact (zero-padded
-        odd levels contribute count 0, exactly like the padded streams).
+        :attr:`supports_count_reduction` for why this is exact.  An odd
+        level pairs its last node with a zero count, exactly like the
+        stream reduction's zero-stream pad.
         Raises ``ValueError`` when a level is not plain TFF.
+
+        int16, int32 and int64 counts keep their dtype (the caller picks one
+        that holds twice the largest leaf count plus one); any other dtype is
+        reduced as int64.  Each level's output keeps the memory order of its
+        input, so a transposed view (leaves on a strided axis) is halved
+        without a reordering copy.
         """
         if not self.supports_count_reduction:
             raise ValueError(
                 "count-domain reduction is exact only for plain TffAdder "
                 "trees; reduce the streams instead"
             )
-        arr = np.asarray(leaf_counts)
+        level = np.asarray(leaf_counts)
+        if level.dtype not in (np.int16, np.int32, np.int64):
+            level = level.astype(np.int64)
         if self.lanes == 1:
-            arr = arr[..., np.newaxis, :]
-        if arr.ndim < 2 or arr.shape[-1] != self.count or arr.shape[-2] != self.lanes:
+            level = level[..., np.newaxis, :]
+        if level.ndim < 2 or level.shape[-1] != self.count or level.shape[-2] != self.lanes:
             raise ValueError(
                 f"expected (..., {self.lanes} lanes, {self.count}) leaf "
-                f"counts, got shape {arr.shape}"
+                f"counts, got shape {level.shape}"
             )
-        level = arr.astype(np.int64, copy=False)
-        # Zero-count leaves padded up to the full 2**depth once are exactly
-        # the per-level zero-stream pads of the stream reduction: real nodes
-        # stay left-aligned at every level and zero nodes stay zero under
-        # both rounding directions.
-        full = 1 << self.depth
-        if self.count != full:
-            padded = np.zeros(level.shape[:-1] + (full,), dtype=np.int64)
-            padded[..., : self.count] = level
-            level = padded
         for group in self._groups:
-            total = level[..., 0::2] + level[..., 1::2]
+            pairs = level.shape[-1] // 2
+            total = np.empty_like(level[..., : level.shape[-1] - pairs])
+            np.add(level[..., 0 : 2 * pairs : 2], level[..., 1::2], out=total[..., :pairs])
+            if level.shape[-1] % 2:
+                total[..., pairs] = level[..., -1]
             if group[1]:
                 # initial_state selects the rounding: floor for 0, ceil for 1.
                 total += 1
