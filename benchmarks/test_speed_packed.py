@@ -4,10 +4,10 @@ Times the two hot kernels of the reproduction -- the stochastic dot product
 and the stochastic convolution layer -- against their byte-per-bit or
 packed-stream twins in ``tests/oracle.py``, asserts each path meets its
 speedup floor (e.g. >= 5x on the dot-product kernel at stream length 4096,
->= 10x for the table-lookup count domain at paper geometry), and writes a
-``BENCH_packed.json`` artifact under ``.bench_build/`` (untracked) so the
-speedup trajectory can be tracked across runs without rewriting committed
-files.
+>= 10x for the table-lookup count domain at paper geometry, >= 5x for the
+faulted count domain there), and writes a ``BENCH_packed.json`` artifact
+under ``.bench_build/`` (untracked) so the speedup trajectory can be tracked
+across runs without rewriting committed files.
 
 Timings use best-of-``REPEATS`` wall-clock so a single scheduler hiccup on a
 loaded CI machine cannot fail the regression assertion.
@@ -21,6 +21,7 @@ import numpy as np
 import oracle
 
 from repro.bitstream import pack_bits
+from repro.faults import FaultSpec
 from repro.sc import (
     BipolarDotProductEngine,
     StochasticConv2D,
@@ -312,6 +313,72 @@ def test_table_count_conv_speedup():
 
     _write_artifact(
         table_count_conv={
+            "filters": filters,
+            "taps": taps,
+            "patches": int(patches.shape[0]),
+            "stream_length": 256,
+            **rows,
+        }
+    )
+
+
+def test_faulted_count_conv_speedup():
+    """Faulted count domain vs. the packed stream bank at paper geometry.
+
+    One 28x28 image ("same" padding: 784 patches), 32 kernels, N=256, for
+    TFF and MUX trees, with flips, stuck-at-0/1 and bursts on the input
+    streams.  Corrupted streams are no comparator-table rows, so
+    ``PreparedWeights.counts`` popcounts ``x & w`` per ``(tap, word)`` into
+    leaf counts and halves or sums them (no product or tree streams), while
+    ``oracle.BitBank(..., packed=True).counts`` ANDs inputs with weights
+    and reduces the tree level by level.  Counts must be bit-identical, and
+    each adder must clear a 5x floor.
+    """
+    rng = np.random.default_rng(6)
+    images = rng.random((1, 28, 28))
+    kernels = rng.uniform(-1.0, 1.0, (32, 5, 5))
+    filters, taps = kernels.shape[0], 25
+    flat_kernels = kernels.reshape(filters, taps)
+    patches = extract_patches(images, (5, 5), padding=2).reshape(-1, taps)
+    faults = FaultSpec(
+        flip_rate=1e-3, stuck_zero_rate=1e-3, stuck_one_rate=1e-3,
+        burst_rate=1e-3, seed=1,
+    )
+
+    rows = {}
+    for adder in ("tff", "mux"):
+        engine, twin = (
+            StochasticDotProductEngine(precision=8, adder=adder, seed=1, faults=faults)
+            for _ in range(2)
+        )
+        x_words = engine.apply_faults(engine.prepare_inputs(patches))
+        bank = engine.prepare_weights(flat_kernels)
+        stream_bank = oracle.BitBank(twin, flat_kernels, packed=True)
+        streams_s, (ref_pos, ref_neg) = best_of(lambda: stream_bank.counts(x_words))
+        counts_s, (pos, neg) = best_of(lambda: bank.counts(x_words))
+
+        # Correctness first: the faulted count path must match the streams.
+        np.testing.assert_array_equal(pos, ref_pos)
+        np.testing.assert_array_equal(neg, ref_neg)
+        rows[adder] = {
+            "streams_seconds": streams_s,
+            "counts_seconds": counts_s,
+            "speedup": streams_s / counts_s,
+        }
+        print(
+            f"\nfaulted count conv ({adder}), {filters} kernels, "
+            f"{patches.shape[0]} patches, N=256: streams {streams_s * 1e3:.1f} ms, "
+            f"counts {counts_s * 1e3:.1f} ms ({streams_s / counts_s:.1f}x)"
+        )
+
+    for adder, row in rows.items():
+        assert row["speedup"] >= 5.0, (
+            f"faulted {adder} counts only {row['speedup']:.1f}x faster "
+            f"than the stream bank (floor is 5x at {filters} filters)"
+        )
+
+    _write_artifact(
+        faulted_count_conv={
             "filters": filters,
             "taps": taps,
             "patches": int(patches.shape[0]),

@@ -177,8 +177,10 @@ def main() -> None:
     # floor/ceil((cx+cy)/2) per level, and all-MUX trees sum the leaves of
     # their weights masked by disjoint per-leaf select ownership masks.  No
     # product or tree stream is built, and the counters are identical, not
-    # close.  OR trees and faulted streams reduce the packed streams level by
-    # level instead (TreePlan.reduce_packed), timed here on the same bank.
+    # close.  Fault-corrupted streams are no table rows, so the bank
+    # popcounts their leaves x & w instead; only OR trees reduce the packed
+    # streams level by level (TreePlan.reduce_packed), timed here on the
+    # same bank.
     for adder in ("mux", "tff"):
         sc_engine = StochasticDotProductEngine(precision=8, adder=adder)
         bank = sc_engine.prepare_weights(conv_kernels)
@@ -301,8 +303,8 @@ def main() -> None:
           f"{stuck.waveforms['stream'].mean():.3f}")
 
     # And the engine-level spec threads through a convolution tile: stream
-    # faults force the stream-domain evaluation and corrupt every tile at
-    # its global patch offset, so tiling never changes the faulted counts.
+    # faults corrupt every tile at its global patch offset, so tiling never
+    # changes the faulted counts.
     rng2 = np.random.default_rng(5)
     tile_image = rng2.random((1, 12, 12))
     tile_kernels = rng2.uniform(-1, 1, (4, 3, 3))

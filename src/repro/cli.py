@@ -27,8 +27,8 @@ bit-exact runs (``REPRO_BITEXACT=1`` without ``REPRO_EVAL_IMAGES``), pass
 ``accuracy --tile-patches P`` (or set ``REPRO_TILE_PATCHES``) to stream the
 stochastic convolution in bounded-memory patch tiles.  Every bit-level
 simulation runs on packed streams (64 clock cycles per machine word), and
-the engines reduce TFF and MUX adder trees in the count domain unless stream
-faults are active.
+the engines reduce TFF and MUX adder trees in the count domain, with or
+without stream faults.
 ``activity`` runs the PrimeTime-style switching-annotated power
 estimate: it simulates the Table 3 stochastic dot-product netlist against a
 random bit-stream trace and rolls the per-net toggle counts into power;

@@ -21,9 +21,9 @@ claim measurable:
 * :mod:`~repro.faults.sweep` -- the accuracy-vs-fault-rate degradation
   experiment behind the ``repro faults`` CLI and ``BENCH_faults.json``.
 
-Engines accept a spec via their ``faults`` field; while stream-level faults
-are active the engines reduce packed streams, because the count-domain
-shortcuts assume uncorrupted adder-tree inputs.
+Engines accept a spec via their ``faults`` field and inject its stream-level
+faults into their input streams; the count-domain tree reductions need only
+leaf counts, so they stay exact on corrupted streams.
 """
 
 from .binary import flip_binary_words

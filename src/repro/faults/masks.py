@@ -16,12 +16,18 @@ the stream representation, or how many streams were faulted before it.
 Tiled and untiled convolutions, packed and byte-per-bit streams, and repeated
 ``dot()`` calls therefore all see bit-identical faulted streams.
 
-Per-bit Bernoulli masks with arbitrary rate ``p`` are built by the standard
-bit-slicing (Horner) combination of ``RATE_BITS`` independent uniform words:
-writing ``p`` in binary as ``0.b1 b2 ... bK``, the accumulator is combined
-MSB-last as ``acc = word | acc`` where ``b_i == 1`` and ``acc = word & acc``
-where ``b_i == 0``, which yields exactly ``P(bit set) = p`` truncated to
-``K`` bits of resolution per bit position, independently across positions.
+Per-bit Bernoulli masks with arbitrary rate ``p`` compare a uniform random
+number with ``p`` digit by digit.  Writing ``p`` in binary as ``0.b1 b2 ...
+bK`` (``K <= RATE_BITS``), digit ``i`` of every bit position's random number
+is the bit of an independent uniform hash word for slice ``i``.  A position
+is decided at the first digit where its hash bit equals ``b_i``, and its
+mask bit is ``b_i`` there (a position undecided after ``bK = 1`` reads 0).
+This is exactly ``P(bit set) = p`` truncated to ``K`` bits of resolution per
+position, independently across positions, and bit for bit the same mask as
+the classic bit-slicing (Horner) combination ``acc = word | acc`` where
+``b_i == 1`` and ``acc = word & acc`` where ``b_i == 0``.  Each digit decides
+half of the open positions on average, so after a handful of digits most
+words are decided and only the rest are hashed again.
 
 Burst faults smear a Bernoulli "burst start" mask downstream over
 ``burst_length`` consecutive cycles (across word boundaries), modelling a
@@ -60,10 +66,14 @@ def splitmix64(x: np.ndarray) -> np.ndarray:
     whose designed use is exactly this: hashing sequential counter values
     into statistically independent 64-bit words.  Input must be uint64.
     """
-    z = (x + _GOLDEN).astype(_U64)
-    z = (z ^ (z >> _U64(30))) * _MIX1
-    z = (z ^ (z >> _U64(27))) * _MIX2
-    return z ^ (z >> _U64(31))
+    z = np.asarray(x, dtype=_U64) + _GOLDEN
+    # In place: one output array, no per-step temporaries beyond the shift.
+    z ^= z >> _U64(30)
+    z *= _MIX1
+    z ^= z >> _U64(27)
+    z *= _MIX2
+    z ^= z >> _U64(31)
+    return z
 
 
 def coordinate_words(
@@ -122,30 +132,43 @@ def bernoulli_words(
     if scaled == 1 << RATE_BITS:
         return mask_tail(np.full(shape, _U64(0xFFFFFFFFFFFFFFFF)), n_bits)
     digits = [(scaled >> (RATE_BITS - 1 - i)) & 1 for i in range(RATE_BITS)]
-    # Drop trailing zero digits: they only AND in extra words without
-    # changing the realized probability.
+    # Drop trailing zero digits: a position still undecided there reads 0
+    # either way.
     while digits and digits[-1] == 0:
         digits.pop()
-    base = coordinate_words(seed, salt, n_streams, taps, n_bits, offset)
-
-    # Odd stride: Bernoulli slice offsets never collide.  Offsets are folded
-    # in Python ints modulo 2**64 (numpy uint64 *scalar* products warn on
-    # wraparound; the subsequent array + scalar add wraps silently).
-    def slice_base(i: int) -> np.ndarray:
-        return base + _U64((i * 0x3C6EF372FE94F82B) % (1 << 64))
-
-    # Horner combination, LSB digit first: after processing digit b_i the
-    # accumulator's set-probability is exactly 0.b_i b_{i+1} ... b_M.  The
-    # last digit is 1 (trailing zeros were dropped), so the seed step
-    # ``acc = w | 0`` collapses to ``acc = w``.
-    acc = splitmix64(slice_base(len(digits) - 1))
-    for i in range(len(digits) - 2, -1, -1):
-        word = splitmix64(slice_base(i))
-        if digits[i]:
-            acc = word | acc
+    base = coordinate_words(seed, salt, n_streams, taps, n_bits, offset).reshape(-1)
+    out = np.zeros(base.shape, dtype=np.uint64)
+    # Open bit positions of the words in ``base``; tail bits are never open.
+    undecided = mask_tail(
+        np.full(shape, _U64(0xFFFFFFFFFFFFFFFF)), n_bits
+    ).reshape(-1)
+    live = None  # flat indices of the words in ``base``; None while all are
+    for i, digit in enumerate(digits):
+        # Odd stride: slice offsets never collide.  Folded in Python ints
+        # modulo 2**64 (numpy uint64 *scalar* products warn on wraparound;
+        # the array + scalar add wraps silently).
+        word = splitmix64(base + _U64((i * 0x3C6EF372FE94F82B) % (1 << 64)))
+        if digit:
+            decided = undecided & word
+            if live is None:
+                out |= decided
+            else:
+                out[live] |= decided
+            undecided ^= decided
         else:
-            acc = word & acc
-    return mask_tail(acc, n_bits)
+            undecided &= word
+        still_open = undecided != 0
+        n_open = np.count_nonzero(still_open)
+        if n_open == 0:
+            break
+        # Drop decided words once at most half are still open: compaction
+        # costs a gather, hashing a word costs a few multiplies.
+        if 2 * n_open <= still_open.size:
+            keep = np.flatnonzero(still_open)
+            live = keep if live is None else live[keep]
+            base = base[keep]
+            undecided = undecided[keep]
+    return out.reshape(shape)
 
 
 def burst_words(

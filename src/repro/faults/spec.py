@@ -127,8 +127,7 @@ class FaultSpec:
         """Whether any stream-level fault channel is active.
 
         Sensor noise and stuck SNG cells act *before* stream generation, so
-        they do not by themselves force stream-mask injection (or disable
-        the engines' count-domain tree reduction).
+        they do not by themselves force stream-mask injection.
         """
         return (
             self.flip_rate > 0.0
@@ -217,9 +216,11 @@ class FaultedEngine:
     Mixed into :class:`~repro.sc.dotproduct.StochasticDotProductEngine` and
     :class:`~repro.sc.bipolar.BipolarDotProductEngine`, which provide the
     ``faults`` field (a :class:`FaultSpec` or ``None``) and ``length``.
-    Stream faults are injected into the engines' *input* streams, and they
-    rule out the count-domain tree reductions, which assume uncorrupted tree
-    inputs.
+    Stream faults are injected into the engines' *input* streams.  They do
+    not change how the adder tree is reduced: the count-domain reductions
+    need only the leaf counts ``popcount(x & w)``, which hold for corrupted
+    streams as for clean ones; faults only change where the engines read
+    those leaf counts from.
     """
 
     def _check_faults(self) -> None:
@@ -236,12 +237,13 @@ class FaultedEngine:
     def _uses_count_domain(self, plan) -> bool:
         """Whether to reduce the adder-tree ``plan`` in the count domain.
 
-        Yes for all-TFF and all-MUX trees without active stream faults;
-        otherwise (OR trees, faulted streams) the packed streams are reduced.
+        Yes for all-TFF and all-MUX trees, with or without stream faults:
+        a TFF node's output count is ``floor/ceil((cx + cy) / 2)`` whatever
+        the bit positions, and MUX leaf ownership masks are disjoint, so
+        either root count follows from the leaf counts of any input streams.
+        OR trees reduce the packed streams.
         """
-        return not self._stream_faults_active and (
-            plan.supports_count_reduction or plan.supports_masked_reduction
-        )
+        return plan.supports_count_reduction or plan.supports_masked_reduction
 
     def apply_faults(self, prepared: np.ndarray, offset: int = 0) -> np.ndarray:
         """Inject the engine's stream faults into ``prepare_inputs`` output.

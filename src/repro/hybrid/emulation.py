@@ -34,7 +34,7 @@ positive-minus-negative counter difference) or the rejected
 counter's offset from the mid-scale decision point ``N/2``), so the Section
 IV-B ablation can also run at full-test-set scale.  Calibration always runs
 the engine's packed bit-exact path, which reduces TFF and MUX trees in the
-count domain unless stream faults are active.
+count domain.
 
 Validity range: the emulator is calibrated and validated for stream lengths
 of 8 bits and above (precision >= 3).  At 2-bit precision (stream length 4)

@@ -79,8 +79,8 @@ class HybridStochasticBinaryNetwork:
     faults:
         Optional :class:`~repro.faults.FaultSpec` describing the fault
         environment of the stochastic first layer.  Stream-level faults are
-        threaded into the engine (forcing its stream-domain evaluation, see
-        :mod:`repro.faults`), and a non-zero ``sensor_noise_sigma`` is
+        threaded into the engine, which injects them into its input streams
+        (see :mod:`repro.faults`), and a non-zero ``sensor_noise_sigma`` is
         applied by the sensor front end during acquisition.  Overrides any
         fault spec already carried by ``engine``.  The binary layers are
         unaffected -- this models defects in the stochastic fabric only.
@@ -172,8 +172,16 @@ class HybridStochasticBinaryNetwork:
         x = np.asarray(images, dtype=np.float64)[:, np.newaxis, :, :]
         return self.model.layers[0].forward(x)
 
-    def first_layer_bitexact(self, images: np.ndarray) -> np.ndarray:
-        """Evaluate the first layer with full bit-level stochastic simulation."""
+    def first_layer_bitexact(
+        self, images: np.ndarray, image_offset: int = 0
+    ) -> np.ndarray:
+        """Evaluate the first layer with full bit-level stochastic simulation.
+
+        ``image_offset`` is the index of ``images[0]`` in the caller's whole
+        image sequence; stream-fault masks are keyed on it (see
+        :meth:`StochasticConv2D.forward`), so a sequence evaluated chunk by
+        chunk is faulted exactly like one pass.
+        """
         acquired = self.front_end.acquire(np.asarray(images, dtype=np.float64))
         layer = StochasticConv2D(
             self._info.kernels,
@@ -183,7 +191,9 @@ class HybridStochasticBinaryNetwork:
             soft_threshold=self.soft_threshold,
             tile_patches=self.tile_patches,
         )
-        return layer.forward(acquired).sign.astype(np.float64)
+        return layer.forward(acquired, image_offset=image_offset).sign.astype(
+            np.float64
+        )
 
     def first_layer_emulated(self, images: np.ndarray) -> np.ndarray:
         """Evaluate the first layer with the calibrated fast emulator."""
@@ -227,16 +237,20 @@ class HybridStochasticBinaryNetwork:
     # ------------------------------------------------------------------ #
     # full-network inference
     # ------------------------------------------------------------------ #
-    def forward(self, images: np.ndarray, mode: str = "emulate") -> np.ndarray:
+    def forward(
+        self, images: np.ndarray, mode: str = "emulate", image_offset: int = 0
+    ) -> np.ndarray:
         """Run the full hybrid network and return the output logits.
 
         ``mode`` selects the first-layer evaluation: ``"binary"``,
-        ``"bitexact"`` or ``"emulate"``.
+        ``"bitexact"`` or ``"emulate"``.  ``image_offset`` places ``images``
+        in a longer image sequence for the bit-exact path's stream faults
+        (see :meth:`first_layer_bitexact`).
         """
         if mode == "binary":
             first = self.first_layer_binary(images)
         elif mode == "bitexact":
-            first = self.first_layer_bitexact(images)
+            first = self.first_layer_bitexact(images, image_offset=image_offset)
         elif mode == "emulate":
             first = self.first_layer_emulated(images)
         else:
@@ -249,12 +263,20 @@ class HybridStochasticBinaryNetwork:
     def predict_classes(
         self, images: np.ndarray, mode: str = "emulate", batch_size: int = 64
     ) -> np.ndarray:
-        """Predicted class per image."""
+        """Predicted class per image.
+
+        Images are evaluated ``batch_size`` at a time; each chunk passes its
+        start as ``image_offset``, so stream faults hit every image alike
+        whatever ``batch_size`` is (sensor noise does not yet: the front end
+        reseeds it on every call).
+        """
         images = np.asarray(images, dtype=np.float64)
         # The empty seed keeps an empty batch a (0,) result, not a crash.
         predictions = [np.empty(0, dtype=np.int64)]
         for start in range(0, images.shape[0], batch_size):
-            logits = self.forward(images[start : start + batch_size], mode=mode)
+            logits = self.forward(
+                images[start : start + batch_size], mode=mode, image_offset=start
+            )
             predictions.append(np.argmax(logits, axis=1))
         return np.concatenate(predictions)
 

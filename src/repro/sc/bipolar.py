@@ -16,10 +16,11 @@ near the decision point.
 
 Like the unipolar engine, the bipolar engine simulates packed streams (64
 stream bits per uint64 word, word-level XNOR / adder-tree kernels) and
-reduces its adder tree in the count domain unless stream faults are active
--- integer ``floor((cx + cy) / 2)`` halving for TFF trees, with odd tap
-counts padded by the exact alternating-stream count ``N / 2``; cached select
-masks for MUX trees -- never materializing an adder-tree stream tensor.
+reduces its adder tree in the count domain, with or without stream faults
+-- integer ``floor((cx + cy) / 2)`` halving of the popcounted XNOR products
+for TFF trees, with odd tap counts padded by the exact alternating-stream
+count ``N / 2``; cached select masks for MUX trees -- never materializing an
+adder-tree stream tensor.
 
 Sign-tie contract
 -----------------
@@ -97,9 +98,8 @@ class BipolarDotProductEngine(FaultedEngine):
     faults:
         Optional :class:`~repro.faults.FaultSpec`.  Stream-level faults are
         injected into the input streams (by :meth:`dot` at offset 0, or by
-        tile drivers via :meth:`apply_faults`) and, exactly like the
-        unipolar engine, make the adder tree reduce packed streams instead
-        of counts.
+        tile drivers via :meth:`apply_faults`); the count-domain reduction
+        popcounts the corrupted XNOR products like clean ones.
     """
 
     precision: int = 8
@@ -219,9 +219,8 @@ class BipolarDotProductEngine(FaultedEngine):
         depth = AdderTree().depth(taps)
         plan = AdderTree(self._adder_factory()).plan(1 << depth)
         pad_taps = plan.count - taps
-        use_counts = self._uses_count_domain(plan)
 
-        if use_counts and plan.supports_count_reduction:
+        if plan.supports_count_reduction:
             # TFF trees halve integer leaf counts.  Each missing leaf is the
             # alternating bipolar-zero pad stream, which holds exactly N / 2
             # ones (N = 2**precision is even), so its count stands in for it.
@@ -233,18 +232,16 @@ class BipolarDotProductEngine(FaultedEngine):
                 leaf_counts = np.concatenate([leaf_counts, pad], axis=-1)
             counts = plan.reduce_counts(leaf_counts)
         else:
-            # Pad the tap axis to a power of two with bipolar-zero (density
-            # 0.5) streams: an all-zeros pad would encode -1 and bias the sum.
+            # MUX trees: pad the tap axis to a power of two with bipolar-zero
+            # (density 0.5) streams -- an all-zeros pad would encode -1 and
+            # bias the sum -- and popcount the select-masked leaves.
             if pad_taps:
                 pad = np.broadcast_to(
                     packed_alternating(self.length),
                     products.shape[:-2] + (pad_taps, products.shape[-1]),
                 )
                 products = np.concatenate([products, pad], axis=-2)
-            if use_counts:
-                counts = plan.masked_counts_packed(products, self.length)
-            else:
-                counts = packed_popcount(plan.reduce_packed(products, self.length))
+            counts = plan.masked_counts_packed(products, self.length)
         return BipolarDotProductResult(
             count=counts, length=self.length, tree_scale=1 << depth
         )

@@ -44,13 +44,17 @@ streams, and each tile runs three stages:
 
 1. ``prepare_inputs`` -- a ``searchsorted`` of the pixel values into the
    sorted reference and one row lookup per stream (no per-cycle compare);
-2. ``apply_faults`` -- stream-fault masks keyed on the global patch index;
-3. ``PreparedWeights.counts`` -- for all-TFF and all-MUX trees without
-   stream faults, the count domain: ``k`` of every ``(patch, tap)`` gathers
-   ``(patches, taps, lanes)`` leaf counts from the bank's prefix-count
-   table, which MUX trees sum over taps and TFF trees halve level by level.
-   Peak memory is ``O(tile_patches * taps * lanes)`` and no stream tensor
-   is built.  OR trees and faulted streams reduce the packed streams
+2. ``apply_faults`` -- stream-fault masks keyed on the global patch index
+   (``forward``'s ``image_offset`` places the batch in a longer image
+   sequence, so a batch split into chunks is faulted like one pass);
+3. ``PreparedWeights.counts`` -- for all-TFF and all-MUX trees, the count
+   domain: ``k`` of every ``(patch, tap)`` gathers ``(patches, taps,
+   lanes)`` leaf counts from the bank's prefix-count table (under stream
+   faults, the bank popcounts the corrupted streams against the weights
+   one ``(tap, word)`` pair at a time instead), and MUX trees sum the
+   leaves over taps while TFF trees halve them level by level.  Peak
+   memory is ``O(tile_patches * taps * lanes)`` with or without faults,
+   and no stream tensor is built.  OR trees reduce the packed streams
    instead, ``O(tile_patches * lanes * taps * words)``.
 """
 
@@ -184,13 +188,21 @@ class StochasticConv2D:
             conv_output_size(image_shape[1], kw, self.stride, self.padding),
         )
 
-    def forward(self, images: np.ndarray) -> StochasticConvResult:
+    def forward(
+        self, images: np.ndarray, image_offset: int = 0
+    ) -> StochasticConvResult:
         """Run the stochastic convolution over a batch of images.
 
         Parameters
         ----------
         images:
             Array of shape ``(batch, H, W)`` with pixel values in ``[0, 1]``.
+        image_offset:
+            Index of ``images[0]`` in the caller's whole image sequence.
+            Stream-fault masks are keyed on the global patch index
+            ``(image_offset + i) * patches_per_image + p``, so evaluating a
+            sequence chunk by chunk (passing each chunk's start) faults every
+            image exactly like one pass over the whole sequence.
         """
         images = np.asarray(images, dtype=np.float64)
         if images.ndim != 3:
@@ -204,6 +216,8 @@ class StochasticConv2D:
             np.isnan(images).any() or images.min() < -1e-9 or images.max() > 1.0 + 1e-9
         ):
             raise ValueError("pixel values must lie in [0, 1]")
+        if image_offset < 0:
+            raise ValueError(f"image_offset must be non-negative, got {image_offset}")
 
         kh, kw = self.kernel_size
         out_h, out_w = self.output_shape(images.shape[1:])
@@ -217,6 +231,7 @@ class StochasticConv2D:
 
         flat = patches.reshape(batch * n_patches, taps)
         total = flat.shape[0]
+        first_patch = int(image_offset) * n_patches
         # ``max(total, 1)`` keeps the tile step positive for an empty batch,
         # where the loop body never runs and the empty count arrays pass
         # straight through to correctly-shaped ``(0, F, out_h, out_w)`` maps.
@@ -228,9 +243,11 @@ class StochasticConv2D:
             # Input bit-streams are generated per tile (stateless conversion,
             # shared by all kernels) so peak memory stays bounded by the tile.
             # Fault masks are keyed on the *global* patch index (offset =
-            # tile start), so any tile_patches value corrupts identically.
+            # tile start), so any tile_patches value or batch split corrupts
+            # identically.
             x_streams = self.engine.apply_faults(
-                self.engine.prepare_inputs(flat[start:stop]), offset=start
+                self.engine.prepare_inputs(flat[start:stop]),
+                offset=first_patch + start,
             )
             pos[start:stop], neg[start:stop] = bank.counts(x_streams)
         pos = pos.reshape(batch, n_patches, self.filters)

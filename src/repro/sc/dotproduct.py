@@ -23,7 +23,8 @@ Every stream is stored 64 clock cycles per ``uint64`` word (see
 :mod:`repro.bitstream.packed`).  Input streams are comparator outputs against
 one fixed reference, so the engine looks them up by ones-count in a cached
 :class:`~repro.rng.sng.ComparatorTable`, and the filter bank reduces them in
-the count domain through the same table.
+the count domain through the same table.  Fault-corrupted input streams are
+reduced in the count domain too, from popcounted leaf products.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from ..bitstream import stream_length
-from ..bitstream.packed import packed_popcount
+from ..bitstream.packed import packed_popcount, word_popcount
 from ..faults.spec import FaultedEngine, FaultSpec
 from ..rng import (
     ComparatorSNG,
@@ -131,15 +132,22 @@ class PreparedWeights:
     pair, so the positive and negative dot products of the paper's
     split-weight trick are fused into one pass over shared input streams.
 
-    In the count domain (all-TFF or all-MUX trees, no stream faults) the
-    bank never ANDs input and weight streams.  Every input stream is the
-    comparator output of the engine's input reference, fixed by its
-    ones-count ``k`` (:class:`~repro.rng.sng.ComparatorTable`), so the
-    bank's leaf counts ``popcount(x & w)`` are rows of a ``(taps, N + 1,
-    lanes)`` prefix-count table, built once from the weight bits in
-    reference order on first use.  MUX leaves use the weight streams
+    All-TFF and all-MUX trees reduce in the count domain, from the leaf
+    counts ``popcount(x & w)`` alone; MUX leaves use the weight streams
     pre-ANDed with their cached leaf ownership masks
-    (:meth:`_masked_weight_bank`).
+    (:meth:`_masked_weight_bank`).  The leaf counts have two sources:
+
+    * fault-free inputs -- every input stream is the comparator output of
+      the engine's input reference, fixed by its ones-count ``k``
+      (:class:`~repro.rng.sng.ComparatorTable`), so the leaf counts are rows
+      of a ``(taps, N + 1, lanes)`` prefix-count table, built once from the
+      weight bits in reference order on first use; input and weight streams
+      are never ANDed;
+    * stream faults active -- corrupted streams are no table rows, so the
+      bank popcounts ``x & w`` one ``(tap, word)`` pair at a time
+      (:meth:`_popcount_leaves`).
+
+    Neither source builds a products tensor or a tree stream.
 
     The tree plan's adders are instantiated filter-major (filter 0's positive
     tree, then its negative tree, then filter 1, ...), exactly the order a
@@ -196,25 +204,70 @@ class PreparedWeights:
         """
         return self._lane_weights() & self.plan.leaf_masks(self.n_bits, packed=True)
 
+    @property
+    def _leaf_dtype(self) -> type:
+        """Integer dtype of the leaf counts, shared by both leaf sources.
+
+        int16 holds twice the largest count plus one up to ``N = 8192``
+        (the TFF halving adds two counts); longer streams use int32.
+        """
+        return np.int16 if 2 * self.n_bits < np.iinfo(np.int16).max else np.int32
+
+    def _leaf_weights(self) -> np.ndarray:
+        """The ``(lanes, taps, W)`` leaf weights: select-masked for MUX trees."""
+        if self.plan.supports_count_reduction:
+            return self._lane_weights()
+        return self._masked_weight_bank()
+
     def _leaves(self, table: ComparatorTable) -> np.ndarray:
         """The ``(taps, N + 1, lanes)`` leaf-count table for input ``table``.
 
         Entry ``[t, k, lane]`` is ``popcount(table.streams[k] & w)`` for the
         lane's tap-``t`` leaf weight ``w`` (select-masked for MUX trees).
-        int16 holds twice the largest count plus one up to ``N = 8192``
-        (the TFF halving adds two counts); longer streams use int32.
         """
         if self._leaf_table_source is not table:
-            leaf_weights = (
-                self._lane_weights()
-                if self.plan.supports_count_reduction
-                else self._masked_weight_bank()
-            )
-            dtype = np.int16 if 2 * self.n_bits < np.iinfo(np.int16).max else np.int32
-            prefix = table.prefix_counts(leaf_weights, dtype)  # (lanes, taps, N+1)
+            # (lanes, taps, N + 1) prefix counts, stored tap-major.
+            prefix = table.prefix_counts(self._leaf_weights(), self._leaf_dtype)
             self._leaf_table = np.ascontiguousarray(prefix.transpose(1, 2, 0))
             self._leaf_table_source = table
         return self._leaf_table
+
+    def _table_leaves(self, x: np.ndarray) -> np.ndarray:
+        """Leaf counts ``(..., taps, lanes)`` of fault-free comparator streams.
+
+        Each stream's ones-count ``k`` gathers its row of the leaf table;
+        streams that are not comparator outputs of the engine's input
+        reference raise ``ValueError``.
+        """
+        table = self.engine._input_table()
+        levels = table.decode(x)
+        # Row t * (N + 1) + k of the flattened table is tap t at count k.
+        index = levels + np.arange(self.taps) * (self.n_bits + 1)
+        return self._leaves(table).reshape(-1, 2 * self.filters)[index]
+
+    def _popcount_leaves(self, x: np.ndarray) -> np.ndarray:
+        """Leaf counts ``(..., taps, lanes)`` of arbitrary input streams.
+
+        ``popcount(x & w)`` for every ``(tap, lane)`` leaf weight ``w``,
+        accumulated one ``(tap, word)`` pair at a time: each step ANDs one
+        word column of the inputs with that word of every lane's weight, so
+        the only temporaries are ``(..., lanes)`` and no products tensor is
+        built.  This is the leaf source of fault-corrupted streams, which
+        are no longer rows of the comparator table.
+        """
+        leaf_weights = self._leaf_weights()
+        lead = x.shape[:-2]
+        # Tap-major, so every step adds into one contiguous block.
+        leaves = np.zeros((self.taps,) + lead + (2 * self.filters,), self._leaf_dtype)
+        columns = np.moveaxis(x, (-2, -1), (0, 1))  # (taps, W, ...)
+        product = np.empty(leaves.shape[1:], dtype=np.uint64)
+        for t in range(self.taps):
+            for j in range(x.shape[-1]):
+                np.bitwise_and(
+                    columns[t, j][..., np.newaxis], leaf_weights[:, t, j], out=product
+                )
+                leaves[t] += word_popcount(product)
+        return np.moveaxis(leaves, 0, -2)
 
     def counts(self, prepared: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Positive and negative tree counts for prepared input streams.
@@ -224,13 +277,15 @@ class PreparedWeights:
         ``(..., taps, W)``; returns ``(positive, negative)`` int64 count
         arrays of shape ``(..., filters)``.
 
-        All-TFF and all-MUX trees without active stream faults reduce in the
-        count domain: each input stream's ones-count ``k`` indexes the leaf
-        table, MUX trees sum the leaves (their ownership masks are disjoint)
-        and TFF trees halve them with :meth:`TreePlan.reduce_counts`.  No
-        stream tensor is built, and inputs that are not fault-free
-        comparator outputs of the engine raise ``ValueError``.  OR trees and
-        faulted streams reduce the packed streams level by level.
+        All-TFF and all-MUX trees reduce in the count domain: the leaf
+        counts come from the leaf table (each input stream's ones-count
+        ``k`` indexes it) or, while stream faults are active, from
+        popcounting ``x & w``; MUX trees sum the leaves (their ownership
+        masks are disjoint) and TFF trees halve them with
+        :meth:`TreePlan.reduce_counts`.  No stream tensor is built.  Without
+        stream faults, inputs that are not comparator outputs of the engine
+        raise ``ValueError``.  OR trees reduce the packed streams level by
+        level.
         """
         x = np.asarray(prepared)
         if x.ndim < 2 or x.shape[-2] != self.taps:
@@ -239,16 +294,16 @@ class PreparedWeights:
                 f"got shape {x.shape}"
             )
         if self.engine._uses_count_domain(self.plan):
-            table = self.engine._input_table()
-            levels = table.decode(x)
-            # Row t * (N + 1) + k of the flattened table is tap t at count k.
-            index = levels + np.arange(self.taps) * (self.n_bits + 1)
-            leaves = self._leaves(table).reshape(-1, 2 * self.filters)[index]
+            leaves = (
+                self._popcount_leaves(x)
+                if self.engine._stream_faults_active
+                else self._table_leaves(x)
+            )
             if self.plan.supports_count_reduction:
                 flat_counts = self.plan.reduce_counts(np.swapaxes(leaves, -1, -2))
             else:
                 # Disjoint leaf masks: every partial sum is a root-stream
-                # count, so the table dtype holds it.
+                # count, so the leaf dtype holds it.
                 flat_counts = leaves.sum(axis=-2, dtype=leaves.dtype)
             flat_counts = flat_counts.astype(np.int64)
         else:
@@ -293,8 +348,8 @@ class StochasticDotProductEngine(FaultedEngine):
         calls.
 
     The adder tree is reduced in the count domain when it is all-TFF or
-    all-MUX and no stream fault channel is active, and as packed streams
-    otherwise; both give the counts the hardware's streams would.
+    all-MUX, with or without stream faults, and as packed streams for OR
+    trees; both give the counts the hardware's streams would.
     """
 
     precision: int = 8

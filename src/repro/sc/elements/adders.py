@@ -45,8 +45,8 @@ untiled pass.
 Count-domain shortcuts
 ----------------------
 Two tree families admit an *exact* count-domain evaluation that never
-materializes a node's output stream (the path the engines take whenever no
-stream fault is active):
+materializes a node's output stream (the path the engines take for them,
+with or without stream faults):
 
 * **all-TFF trees** -- every node's output ones-count is exactly
   ``floor/ceil((ones_x + ones_y) / 2)``, so :meth:`TreePlan.reduce_counts`
@@ -58,13 +58,16 @@ stream fault is active):
   is the sum over leaves of ``popcount(leaf & mask)``
   (:meth:`TreePlan.masked_counts_packed` popcounts their OR).
 
-Both shortcuts need only per-leaf counts.  The unipolar engine's filter
-bank (:class:`repro.sc.dotproduct.PreparedWeights`) reads those leaf counts
-from a prefix-count table indexed by each input stream's ones-count, so it
-builds no product streams at all; the bipolar engine popcounts its XNOR
-products.  Both shortcuts are bit-identical to reducing the streams; OR
-trees are position-dependent in a way neither shortcut captures and always
-reduce streams.
+Both shortcuts need only per-leaf counts, whatever the leaf streams' bit
+positions -- so they hold for fault-corrupted streams as for clean ones.
+The unipolar engine's filter bank
+(:class:`repro.sc.dotproduct.PreparedWeights`) reads clean leaf counts from
+a prefix-count table indexed by each input stream's ones-count, and
+popcounts ``x & w`` per tap and word for faulted inputs, so it builds no
+product streams at all; the bipolar engine popcounts its XNOR products.
+Both shortcuts are bit-identical to reducing the streams; OR trees are
+position-dependent in a way neither shortcut captures and always reduce
+streams.
 """
 
 from __future__ import annotations
@@ -442,7 +445,8 @@ class TreePlan:
         ``ceil``) ones -- and ``both + floor((cx + cy - 2 * both) / 2)``
         collapses to ``floor((cx + cy) / 2)``.  So a tree whose every level
         is plain TFF nodes admits :meth:`reduce_counts`, the count-domain
-        shortcut behind the filter-parallel convolution's speedup.  MUX and
+        shortcut behind the filter-parallel convolution's speedup.  MUX
+        levels have their own shortcut (:attr:`supports_masked_reduction`);
         OR levels are position-dependent and must reduce actual streams.
         """
         return all(group is not None and group[0] == "tff" for group in self._groups)

@@ -13,8 +13,9 @@ library against an independent reference:
   :meth:`TreePlan.reduce_bits`);
 * bipolar engine -- XNOR products with alternating-pad tree reduction
   (:func:`dot` dispatches on the engine type);
-* stream faults -- :func:`apply_fault_plan`, the fault composition
-  ``((w | stuck1) & ~stuck0) ^ flips`` on unpacked masks;
+* stream faults -- :func:`bernoulli_words`, the dense Horner combination of
+  every rate digit's hash words, and :func:`apply_fault_plan`, the fault
+  composition ``((w | stuck1) & ~stuck0) ^ flips`` on unpacked masks;
 * convolution -- :func:`conv_forward`, :class:`StochasticConv2D` on bits;
 * netlists -- :func:`simulate` / :func:`simulate_batch`, the per-cycle cell
   loop behind the simulator's argument validation;
@@ -25,8 +26,7 @@ library and never asks the engine which path to take, so a test
 parametrized over ``IMPLS = ("packed", "unpacked")`` runs identical inputs
 through both and compares with :func:`evaluate`.  The engine twins also take
 ``packed=True``: the same stream-level reduction on packed words
-(:meth:`TreePlan.reduce_packed`), the path the engines keep for OR trees and
-faulted streams.
+(:meth:`TreePlan.reduce_packed`), the path the engines keep for OR trees.
 
 Run as a script, ``PYTHONPATH=src python tests/oracle.py <repro CLI
 arguments>`` runs the ``repro`` command line with every bit-level simulator
@@ -43,8 +43,15 @@ from typing import Callable
 import numpy as np
 
 from repro.bitstream import stream_length, unpack_bits
-from repro.bitstream.packed import packed_alternating, packed_popcount, packed_xnor
+from repro.bitstream.packed import (
+    mask_tail,
+    packed_alternating,
+    packed_popcount,
+    packed_xnor,
+    words_for,
+)
 from repro.eval.table2 import ADDER_CONFIGS, _data_generators, _select_bits
+from repro.faults.masks import RATE_BITS, coordinate_words, splitmix64
 from repro.netlist.simulator import (
     _batch_setup,
     _simulate_batch_cycle_loop,
@@ -69,6 +76,39 @@ IMPLS = ("packed", "unpacked")
 # --------------------------------------------------------------------------- #
 # stream faults
 # --------------------------------------------------------------------------- #
+def bernoulli_words(rate, seed, salt, n_streams, taps, n_bits, offset=0):
+    """Dense twin of :func:`repro.faults.masks.bernoulli_words`.
+
+    The classic bit-slicing (Horner) combination: every word of every rate
+    digit's slice is hashed, and the accumulator is combined LSB digit first
+    as ``acc = word | acc`` where the digit is 1 and ``acc = word & acc``
+    where it is 0.
+    """
+    width = words_for(n_bits)
+    shape = (n_streams, taps, width)
+    if rate == 0.0 or n_bits == 0 or n_streams == 0 or taps == 0:
+        return np.zeros(shape, dtype=np.uint64)
+    scaled = min(max(int(round(rate * (1 << RATE_BITS))), 0), 1 << RATE_BITS)
+    if scaled == 0:
+        return np.zeros(shape, dtype=np.uint64)
+    if scaled == 1 << RATE_BITS:
+        return mask_tail(np.full(shape, np.uint64(0xFFFFFFFFFFFFFFFF)), n_bits)
+    digits = [(scaled >> (RATE_BITS - 1 - i)) & 1 for i in range(RATE_BITS)]
+    while digits and digits[-1] == 0:
+        digits.pop()
+    base = coordinate_words(seed, salt, n_streams, taps, n_bits, offset)
+
+    def slice_word(i: int) -> np.ndarray:
+        return splitmix64(base + np.uint64((i * 0x3C6EF372FE94F82B) % (1 << 64)))
+
+    # After digit b_i the accumulator's set-probability is 0.b_i ... b_M;
+    # the last digit is 1, so the seed step ``acc = w | 0`` is ``acc = w``.
+    acc = slice_word(len(digits) - 1)
+    for i in range(len(digits) - 2, -1, -1):
+        acc = slice_word(i) | acc if digits[i] else slice_word(i) & acc
+    return mask_tail(acc, n_bits)
+
+
 def apply_fault_plan(plan, bits: np.ndarray, offset: int = 0) -> np.ndarray:
     """Byte-per-bit twin of :meth:`repro.faults.FaultPlan.apply`.
 
@@ -268,7 +308,9 @@ def dot(engine, x: np.ndarray, weights: np.ndarray, packed: bool = False):
 # --------------------------------------------------------------------------- #
 # convolution
 # --------------------------------------------------------------------------- #
-def conv_forward(layer: StochasticConv2D, images: np.ndarray) -> StochasticConvResult:
+def conv_forward(
+    layer: StochasticConv2D, images: np.ndarray, image_offset: int = 0
+) -> StochasticConvResult:
     """Byte-per-bit twin of :meth:`StochasticConv2D.forward` (same tiling)."""
     images = np.asarray(images, dtype=np.float64)
     kh, kw = layer.kernel_size
@@ -279,12 +321,13 @@ def conv_forward(layer: StochasticConv2D, images: np.ndarray) -> StochasticConvR
     bank = BitBank(engine, layer.kernels.reshape(layer.filters, taps))
     flat = patches.reshape(batch * n_patches, taps)
     total = flat.shape[0]
+    first_patch = image_offset * n_patches
     tile = layer.tile_patches if layer.tile_patches is not None else max(total, 1)
     pos = np.empty((total, layer.filters), dtype=np.int64)
     neg = np.empty_like(pos)
     for start in range(0, total, tile):
         stop = min(start + tile, total)
-        x = input_bits(engine, flat[start:stop], offset=start)
+        x = input_bits(engine, flat[start:stop], offset=first_patch + start)
         pos[start:stop], neg[start:stop] = bank.counts(x)
     pos = pos.reshape(batch, n_patches, layer.filters)
     neg = neg.reshape(batch, n_patches, layer.filters)

@@ -1,10 +1,10 @@
 """Differential + property tests for the engines' count-domain evaluation.
 
-Without stream faults the engines reduce all-TFF and all-MUX adder trees in
-the count domain.  The result must be *bit-identical* to reducing the tree's
-streams, for unipolar split-weight engines (any generator, tap count,
-tiling) and for the bipolar XNOR engine (including its odd-tap
-alternating-stream padding).  The reference is the stream-level oracle
+The engines reduce all-TFF and all-MUX adder trees in the count domain,
+with or without stream faults.  The result must be *bit-identical* to
+reducing the tree's streams, for unipolar split-weight engines (any
+generator, tap count, tiling) and for the bipolar XNOR engine (including
+its odd-tap alternating-stream padding).  The reference is the stream-level oracle
 (``tests/oracle.py``), on packed words (``TreePlan.reduce_packed``) or one
 byte per bit (``TreePlan.reduce_bits``).  These tests pin that contract, the
 ``TreePlan`` mask machinery behind the MUX shortcut, and the edge cases that
@@ -141,7 +141,8 @@ def test_conv_counts_mode_tiling_bit_identical(adder, tile_patches):
 
 
 def test_stream_paths_match_oracle():
-    """OR trees and faulted streams reduce packed streams; both match the oracle."""
+    """OR trees reduce packed streams and faulted TFF/MUX trees popcount their
+    leaves; all match the oracle's stream reduction."""
     rng = np.random.default_rng(12)
     x = rng.random((6, 9))
     w = rng.uniform(-1.0, 1.0, 9)

@@ -1,12 +1,14 @@
 """Tests for the deterministic fault-injection subsystem (:mod:`repro.faults`).
 
-Covers the mask generator's statistics and coordinate determinism, the
-``((w | stuck1) & ~stuck0) ^ flips`` composition contract, tiling
-bit-identity of faulted engines and convolutions against the byte-per-bit
-oracle (``tests/oracle.py``), the path choice (stream faults force the
-stream-domain tree reduction), stream injection helpers, netlist stuck-at faults
-on the simulator and its cycle-loop oracle, stuck SNG register cells, the
-matched binary-word flip baseline, and the degradation sweep.
+Covers the mask generator's statistics, coordinate determinism and its
+early-exit Bernoulli masks against the dense Horner oracle, the
+``((w | stuck1) & ~stuck0) ^ flips`` composition contract, tiling and
+batch-split bit-identity of faulted engines and convolutions against the
+stream-level oracle (``tests/oracle.py``), the path choice (faulted TFF and
+MUX trees stay in the count domain, OR trees reduce streams), stream
+injection helpers, netlist stuck-at faults on the simulator and its
+cycle-loop oracle, stuck SNG register cells, the matched binary-word flip
+baseline, and the degradation sweep.
 """
 
 import dataclasses
@@ -37,7 +39,8 @@ from repro.netlist import Netlist, build_sc_dot_product, simulate, simulate_batc
 from repro.rng.lfsr import LFSR
 from repro.sc.bipolar import BipolarDotProductEngine
 from repro.sc.convolution import StochasticConv2D
-from repro.sc.dotproduct import new_sc_engine, old_sc_engine
+from repro.sc.dotproduct import StochasticDotProductEngine, new_sc_engine, old_sc_engine
+from repro.sc.elements.adders import TreePlan
 
 
 def _unpack(words, n_bits):
@@ -89,6 +92,16 @@ class TestMasks:
         # the hit rate must land well above the per-bit seed rate.
         assert bits.mean() > 0.02
         assert bits.mean() < 0.12
+
+    @pytest.mark.parametrize("rate", [0.0, 1e-6, 1e-3, 0.3, 0.5, 0.999, 1.0])
+    @pytest.mark.parametrize("n_bits, offset", [(1, 5), (63, 1), (131, 17), (257, 3)])
+    def test_bernoulli_matches_dense_horner(self, rate, n_bits, offset):
+        # The early-exit digit walk must give the dense Horner masks, bit
+        # for bit, including tail words and non-zero stream offsets.
+        args = (rate, 7, 3, 40, 5, n_bits, offset)
+        np.testing.assert_array_equal(
+            bernoulli_words(*args), oracle.bernoulli_words(*args)
+        )
 
     def test_tail_bits_always_clear(self):
         for n_bits in (1, 63, 64, 65, 127, 200):
@@ -251,18 +264,31 @@ class TestEngineFaults:
             and np.array_equal(clean.negative_count, faulted.negative_count)
         )
 
-    def test_auto_mode_resolves_to_streams(self):
-        # Stream faults make the engines reduce streams, not counts.
-        engine = new_sc_engine(precision=6, faults=FaultSpec(flip_rate=0.01))
-        assert engine._stream_faults_active
-        plan = engine.prepare_weights(self.w.reshape(1, -1)).plan
-        assert not engine._uses_count_domain(plan)
-        assert new_sc_engine(precision=6)._uses_count_domain(plan)
-        # Non-stream fault channels keep the count-domain shortcut legal.
-        cells_only = new_sc_engine(precision=6,
-                                   faults=FaultSpec(sng_stuck_cells=((1, 1),)))
-        assert not cells_only._stream_faults_active
-        assert cells_only._uses_count_domain(plan)
+    def test_faulted_tff_and_mux_plans_use_count_domain(self, monkeypatch):
+        # Stream faults leave TFF and MUX trees in the count domain; OR
+        # trees always reduce the packed streams.
+        kernels = self.w.reshape(1, -1)
+        spec = FaultSpec(flip_rate=0.01)
+        for adder, count_domain in (("tff", True), ("mux", True), ("or", False)):
+            for faults in (None, spec, FaultSpec(sng_stuck_cells=((1, 1),))):
+                engine = StochasticDotProductEngine(
+                    precision=6, adder=adder, faults=faults
+                )
+                plan = engine.prepare_weights(kernels).plan
+                assert engine._uses_count_domain(plan) is count_domain
+        assert new_sc_engine(precision=6, faults=spec)._stream_faults_active
+
+        # Faulted TFF and MUX banks never reach the stream reduction.
+        def no_streams(*args, **kwargs):
+            raise AssertionError("count-domain bank reduced streams")
+
+        monkeypatch.setattr(TreePlan, "reduce_packed", no_streams)
+        for adder in ("tff", "mux"):
+            engine = StochasticDotProductEngine(precision=6, adder=adder, faults=spec)
+            engine.dot_filters(self.x, kernels)
+            BipolarDotProductEngine(precision=6, adder=adder, faults=spec).dot(
+                self.x * 2 - 1, self.w
+            )
 
     def test_faults_type_checked(self):
         with pytest.raises(TypeError):
@@ -294,6 +320,60 @@ class TestEngineFaults:
         assert not np.array_equal(clean.positive_count, counts["packed"])
 
 
+FAULTED_SPEC = FaultSpec(
+    flip_rate=0.02, stuck_zero_rate=0.01, stuck_one_rate=0.01,
+    burst_rate=0.005, seed=5,
+)
+
+
+class TestFaultedCountDomain:
+    """Faulted TFF/MUX count domain vs. the oracle's stream reduction."""
+
+    @pytest.mark.parametrize("adder", ["tff", "mux"])
+    @pytest.mark.parametrize("precision", [4, 8, 14])
+    @pytest.mark.parametrize("taps", [25, 9])
+    def test_bank_matches_stream_oracle_at_any_tiling(self, adder, precision, taps):
+        engine, twin = (
+            StochasticDotProductEngine(
+                precision=precision, adder=adder, seed=3, faults=FAULTED_SPEC
+            )
+            for _ in range(2)
+        )
+        rng = np.random.default_rng(precision * taps)
+        x = rng.random((11, taps))
+        kernels = rng.uniform(-1, 1, (3, taps))
+        bank = engine.prepare_weights(kernels)
+        # N = 16384 is past int16's reach: the leaves widen to int32.
+        assert bank._leaf_dtype == (np.int32 if precision == 14 else np.int16)
+        ref_pos, ref_neg = oracle.BitBank(twin, kernels, packed=True).counts(
+            oracle.input_bits(twin, x, packed=True)
+        )
+        for tile in (1, 7, None):
+            step = tile or len(x)
+            parts = [
+                bank.counts(
+                    engine.apply_faults(engine.prepare_inputs(x[start:start + step]), start)
+                )
+                for start in range(0, len(x), step)
+            ]
+            np.testing.assert_array_equal(np.concatenate([p for p, _ in parts]), ref_pos)
+            np.testing.assert_array_equal(np.concatenate([n for _, n in parts]), ref_neg)
+
+    @pytest.mark.parametrize("adder", ["tff", "mux"])
+    @pytest.mark.parametrize("reference", oracle.IMPLS)
+    @pytest.mark.parametrize("taps", [25, 9])
+    def test_bipolar_matches_stream_oracle(self, adder, reference, taps):
+        rng = np.random.default_rng(taps)
+        values = rng.uniform(-1, 1, (10, taps))
+        weights = rng.uniform(-1, 1, taps)
+        engine = BipolarDotProductEngine(precision=6, adder=adder, faults=FAULTED_SPEC)
+        counts = engine.dot(values, weights).count
+        expected = oracle.dot(
+            engine, values, weights, packed=reference == "packed"
+        ).count
+        np.testing.assert_array_equal(counts, expected)
+
+
 class TestConvolutionFaults:
     def test_tiling_and_backend_invariance(self):
         rng = np.random.default_rng(7)
@@ -312,6 +392,39 @@ class TestConvolutionFaults:
         for pos, neg in signs[1:]:
             assert np.array_equal(first_pos, pos)
             assert np.array_equal(first_neg, neg)
+
+    @pytest.mark.parametrize("adder", ["tff", "mux"])
+    def test_batch_split_faults_like_one_pass(self, adder):
+        # A chunk that passes its start as image_offset sees exactly the
+        # faults its images get inside the whole batch.
+        rng = np.random.default_rng(11)
+        images = rng.random((5, 8, 8))
+        kernels = rng.uniform(-1, 1, (2, 3, 3))
+
+        def layer():
+            # A fresh engine per pass: MUX select seeds advance per bank.
+            engine = StochasticDotProductEngine(
+                precision=6, adder=adder, faults=FAULTED_SPEC
+            )
+            return StochasticConv2D(kernels, engine=engine, padding=1)
+
+        whole = layer().forward(images)
+        for start, stop in ((0, 2), (2, 5), (4, 5)):
+            for impl in oracle.IMPLS:
+                part = oracle.evaluate(
+                    impl, layer(), "forward", images[start:stop], start
+                )
+                np.testing.assert_array_equal(
+                    part.positive_count, whole.positive_count[start:stop]
+                )
+                np.testing.assert_array_equal(
+                    part.negative_count, whole.negative_count[start:stop]
+                )
+        # Without the offset, a chunk is faulted like the batch's head.
+        alone = layer().forward(images[4:5])
+        assert not np.array_equal(alone.positive_count, whole.positive_count[4:5])
+        with pytest.raises(ValueError, match="image_offset"):
+            layer().forward(images, image_offset=-1)
 
 
 # --------------------------------------------------------------------------- #

@@ -5,6 +5,7 @@ import oracle
 import pytest
 
 from repro.datasets import SyntheticDigits
+from repro.faults import FaultSpec
 from repro.hybrid import CalibratedSCEmulator, HybridStochasticBinaryNetwork, SensorFrontEnd
 from repro.nn import Adam, build_lenet5_small, quantize_and_freeze, retrain
 from repro.sc import new_sc_engine, old_sc_engine
@@ -280,6 +281,25 @@ class TestHybridNetwork:
         # An empty batch leaves nothing to calibrate the emulator on.
         assert hybrid._emulator is None
         assert hybrid.predict_classes(data.x_test[:3], mode=mode).shape == (3,)
+
+    def test_faulted_predictions_do_not_depend_on_batch_size(self, trained_hybrid_setup):
+        # Each chunk keys its stream faults on its global image offset, so
+        # one image at a time is faulted exactly like the whole batch.
+        data, frozen = trained_hybrid_setup
+        hybrid = HybridStochasticBinaryNetwork(
+            frozen, engine=new_sc_engine(6), faults=FaultSpec(flip_rate=0.05, seed=3)
+        )
+        images = data.x_test[:6]
+        whole = hybrid.predict_classes(images, mode="bitexact", batch_size=6)
+        for batch_size in (1, 4):
+            np.testing.assert_array_equal(
+                hybrid.predict_classes(images, mode="bitexact", batch_size=batch_size),
+                whole,
+            )
+        signs = hybrid.first_layer_bitexact(images)
+        np.testing.assert_array_equal(
+            hybrid.first_layer_bitexact(images[3:], image_offset=3), signs[3:]
+        )
 
     def test_unknown_mode_rejected(self, trained_hybrid_setup):
         data, frozen = trained_hybrid_setup
